@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck benchmark benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,24 @@ race:
 ## check: the full local CI gate — vet, everything under the race
 ## detector (including the goroutine-leak assertions in the fault
 ## matrix), the differential battery, the seeded chaos suite, then a
-## short fuzz pass over the differential fuzzers.
-check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke
+## short fuzz pass over the differential fuzzers, plus the benchmark
+## module's own vet and tests.
+check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck
+
+## benchcheck: the benchmark is a Go module of its own (benchmark/go.mod),
+## so `go build ./... && go test ./...` at the root never compiles it;
+## this keeps an API rename in core or stream from surfacing only as a
+## failed benchmark run.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+## benchmark: the scan fleet's one benchmark (benchmark/README.md) — all
+## five workloads, every answer checked against the oracle. BENCH_FLAGS
+## passes through, e.g. `make benchmark BENCH_FLAGS="--workload gw-scan
+## --out A.jsonl"`, then `BENCH_FLAGS="--compare A.jsonl B.jsonl"`.
+BENCH_FLAGS ?=
+benchmark:
+	bash benchmark/run.sh $(BENCH_FLAGS)
 
 ## difftest: the three-way differential battery under -race — the
 ## lazy-DFA fast path, the exact slow path and Go's regexp (plus the
@@ -103,9 +119,10 @@ bench:
 
 ## benchguard: fail if the metrics-DISABLED hot path regresses more
 ## than 3% against the committed wall-clock baseline
-## (testdata/bench_guard_baseline.txt). Machine-specific by nature —
-## regenerate the baseline with `make benchbaseline` on a new machine
-## or after an intentional hot-path change.
+## (testdata/bench_guard_baseline.txt, one key: disabled_ns_per_op).
+## Machine-specific by nature — regenerate the baseline with
+## `make benchbaseline` on a new machine or after an intentional
+## hot-path change. Every other hot path is refereed by `make benchmark`.
 benchguard:
 	ALVEARE_BENCHGUARD=1 $(GO) test -run TestBenchGuard -v .
 

@@ -5,7 +5,7 @@
 //
 //   - -batch N (default) packs N records into each SCAN-BATCH frame;
 //     -batch 1 degenerates to one SCAN per record, which is exactly
-//     the unamortised baseline BENCH_008.json compares against.
+//     the unamortised baseline batching is measured against.
 //   - -stream-chunk N instead concatenates each worker's share of the
 //     corpus and pushes it through one streaming session in N-byte
 //     SESSION-DATA frames.

@@ -37,22 +37,33 @@ func (s *ApproxStats) Add(o ApproxStats) {
 	s.ExactHitWindows += o.ExactHitWindows
 }
 
-// screenData runs the engine's admission filter over one whole input,
-// maintaining the engine-layer counters (single-goroutine, like guard).
-// True means "scan it"; callers treat false as a proof of no match.
-func (e *Engine) screenData(data []byte) bool {
+// screened runs search — the exact engine over one unit of input, a
+// whole buffer or one stream window — behind the engine's admission
+// stage, and is the only place the stage is consulted: a clean verdict
+// is a proof of no match, so search is skipped and admitted is false;
+// an admitted unit in which search reports a hit is credited. With the
+// stage off search just runs. The counters follow the engine's
+// single-goroutine discipline, like guard.
+func (e *Engine) screened(data []byte, search func() (hit bool)) (admitted bool) {
+	if e.admit == nil {
+		search()
+		return true
+	}
 	e.approxCtr.ScreenedWindows++
 	e.approxCtr.ScreenedBytes += int64(len(data))
 	if !e.admit.Suspect(data) {
 		return false
 	}
 	e.approxCtr.AdmittedWindows++
+	if search() {
+		e.approxCtr.ExactHitWindows++
+	}
 	return true
 }
 
-// screenWindow screens one whole rule-set window, maintaining the
-// mutex-guarded roll-up. The returned admitted flag lets the caller
-// credit ExactHitWindows once the window's matches are known.
+// screenWindow screens one whole rule-set unit, maintaining the
+// mutex-guarded roll-up; fanOut credits ExactHitWindows once the
+// unit's matches are known.
 func (rs *RuleSet) screenWindow(buf []byte) (admitted bool) {
 	suspect := rs.admit.Suspect(buf)
 	rs.mu.Lock()
@@ -63,11 +74,4 @@ func (rs *RuleSet) screenWindow(buf []byte) (admitted bool) {
 	}
 	rs.mu.Unlock()
 	return suspect
-}
-
-// creditExactHit records that an admitted unit produced exact matches.
-func (rs *RuleSet) creditExactHit() {
-	rs.mu.Lock()
-	rs.approxCtr.ExactHitWindows++
-	rs.mu.Unlock()
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"alveare/internal/stream"
 )
 
 // ErrBadCheckpoint reports a stream checkpoint that failed structural
@@ -36,9 +38,10 @@ const (
 	streamCkptRuleSticky = 1 << 0
 	streamCkptRuleDead   = 1 << 1
 
-	streamCkptHeaderLen = 1 + 1 + 4 + 8 + 4
-	streamCkptMaxOffset = 1 << 62 // u64→int safety fence
-	streamCkptMaxRules  = 1 << 20
+	streamCkptHeaderLen  = 1 + 1 + 4 + 8 + 4
+	streamCkptMaxOffset  = 1 << 62 // u64→int safety fence
+	streamCkptMaxOverlap = 1 << 30
+	streamCkptMaxRules   = 1 << 20
 )
 
 // Export serialises the stream's resumable state — consumed offset,
@@ -53,8 +56,8 @@ const (
 // errors.Is identity.
 func (st *Stream) Export() []byte {
 	n := len(st.pos)
-	limit := st.base + len(st.buf)
-	size := streamCkptHeaderLen + len(st.buf) + 4 + n*9
+	buf, limit := st.win.Bytes(), st.win.Limit()
+	size := streamCkptHeaderLen + len(buf) + 4 + n*9
 	msgs := make([]string, n)
 	for i := 0; i < n; i++ {
 		if st.dead[i] != nil {
@@ -73,10 +76,10 @@ func (st *Stream) Export() []byte {
 		flags |= streamCkptFlagDone
 	}
 	out = append(out, flags)
-	out = binary.BigEndian.AppendUint32(out, uint32(st.overlap))
-	out = binary.BigEndian.AppendUint64(out, uint64(st.base))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(st.buf)))
-	out = append(out, st.buf...)
+	out = binary.BigEndian.AppendUint32(out, uint32(st.win.Overlap()))
+	out = binary.BigEndian.AppendUint64(out, uint64(st.win.Base()))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(buf)))
+	out = append(out, buf...)
 	out = binary.BigEndian.AppendUint32(out, uint32(n))
 	for i := 0; i < n; i++ {
 		var rf byte
@@ -102,6 +105,56 @@ func (st *Stream) Export() []byte {
 	return out
 }
 
+// ckptHeader is the rule-set-independent part of a checkpoint: the
+// fixed header, the carry window and the rule count, everything ahead
+// of the per-rule records.
+type ckptHeader struct {
+	done    bool
+	overlap uint32
+	base    uint64
+	carry   []byte // aliases the checkpoint
+	rules   uint32
+}
+
+// parseCkptHeader validates a checkpoint up to its per-rule records
+// and returns them unparsed. It is the only reader of the header, so
+// RestoreStream and PeekCheckpoint reject exactly the same set: a
+// relay never reasons from a checkpoint no shard would restore.
+func parseCkptHeader(cp []byte) (h ckptHeader, records []byte, err error) {
+	if len(cp) < streamCkptHeaderLen {
+		return h, nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	}
+	if cp[0] != streamCkptVersion {
+		return h, nil, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
+	}
+	if cp[1]&^byte(streamCkptFlagDone) != 0 {
+		return h, nil, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
+	}
+	h.done = cp[1]&streamCkptFlagDone != 0
+	h.overlap = binary.BigEndian.Uint32(cp[2:6])
+	h.base = binary.BigEndian.Uint64(cp[6:14])
+	blen := uint64(binary.BigEndian.Uint32(cp[14:18]))
+	if h.overlap == 0 || h.overlap > streamCkptMaxOverlap {
+		return h, nil, fmt.Errorf("%w: overlap %d", ErrBadCheckpoint, h.overlap)
+	}
+	if h.base > streamCkptMaxOffset {
+		return h, nil, fmt.Errorf("%w: offset overflow", ErrBadCheckpoint)
+	}
+	if !h.done && blen > uint64(h.overlap) {
+		return h, nil, fmt.Errorf("%w: %d buffered bytes exceed overlap %d", ErrBadCheckpoint, blen, h.overlap)
+	}
+	rest := cp[streamCkptHeaderLen:]
+	if uint64(len(rest)) < blen+4 {
+		return h, nil, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
+	}
+	h.carry = rest[:blen]
+	h.rules = binary.BigEndian.Uint32(rest[blen : blen+4])
+	if h.rules > streamCkptMaxRules {
+		return h, nil, fmt.Errorf("%w: rule count %d", ErrBadCheckpoint, h.rules)
+	}
+	return h, rest[blen+4:], nil
+}
+
 // RestoreStream rebuilds a push-mode stream from an Export checkpoint.
 // The rule set must be equivalent to the exporter's (same rules in the
 // same order — the rule count is verified, the patterns are the
@@ -109,61 +162,32 @@ func (st *Stream) Export() []byte {
 // input yields ErrBadCheckpoint, never a panic or a stream that
 // silently diverges.
 func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
-	if len(cp) < streamCkptHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	h, rec, err := parseCkptHeader(cp)
+	if err != nil {
+		return nil, err
 	}
-	if cp[0] != streamCkptVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
+	if int(h.rules) != rs.Len() {
+		return nil, fmt.Errorf("%w: checkpoint has %d rules, rule set has %d", ErrBadCheckpoint, h.rules, rs.Len())
 	}
-	if cp[1]&^byte(streamCkptFlagDone) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
-	}
-	done := cp[1]&streamCkptFlagDone != 0
-	overlap := binary.BigEndian.Uint32(cp[2:6])
-	base := binary.BigEndian.Uint64(cp[6:14])
-	blen := binary.BigEndian.Uint32(cp[14:18])
-	if overlap == 0 || overlap > 1<<30 {
-		return nil, fmt.Errorf("%w: overlap %d", ErrBadCheckpoint, overlap)
-	}
-	if base > streamCkptMaxOffset {
-		return nil, fmt.Errorf("%w: offset overflow", ErrBadCheckpoint)
-	}
-	if !done && uint64(blen) > uint64(overlap) {
-		return nil, fmt.Errorf("%w: %d buffered bytes exceed overlap %d", ErrBadCheckpoint, blen, overlap)
-	}
-	off := uint64(streamCkptHeaderLen)
-	if uint64(len(cp)) < off+uint64(blen)+4 {
-		return nil, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
-	}
-	buf := make([]byte, blen)
-	copy(buf, cp[off:off+uint64(blen)])
-	off += uint64(blen)
-	nrules := binary.BigEndian.Uint32(cp[off : off+4])
-	off += 4
-	if nrules > streamCkptMaxRules {
-		return nil, fmt.Errorf("%w: rule count %d", ErrBadCheckpoint, nrules)
-	}
-	if int(nrules) != rs.Len() {
-		return nil, fmt.Errorf("%w: checkpoint has %d rules, rule set has %d", ErrBadCheckpoint, nrules, rs.Len())
-	}
-	limit := base + uint64(blen)
+	base := h.base
+	limit := base + uint64(len(h.carry))
 	posMax := limit
-	if done {
+	if h.done {
 		posMax = limit + 1
 	}
-	pos := make([]int, nrules)
-	sticky := make([]bool, nrules)
-	dead := make([]error, nrules)
-	for i := uint32(0); i < nrules; i++ {
-		if uint64(len(cp)) < off+9 {
+	pos := make([]int, h.rules)
+	sticky := make([]bool, h.rules)
+	dead := make([]error, h.rules)
+	for i := range pos {
+		if len(rec) < 9 {
 			return nil, fmt.Errorf("%w: truncated rule %d", ErrBadCheckpoint, i)
 		}
-		rf := cp[off]
+		rf := rec[0]
 		if rf&^byte(streamCkptRuleSticky|streamCkptRuleDead) != 0 {
 			return nil, fmt.Errorf("%w: rule %d unknown flags 0x%02x", ErrBadCheckpoint, i, rf)
 		}
-		p := binary.BigEndian.Uint64(cp[off+1 : off+9])
-		off += 9
+		p := binary.BigEndian.Uint64(rec[1:9])
+		rec = rec[9:]
 		if p > streamCkptMaxOffset {
 			return nil, fmt.Errorf("%w: rule %d offset overflow", ErrBadCheckpoint, i)
 		}
@@ -176,30 +200,28 @@ func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
 		pos[i] = int(p)
 		sticky[i] = rf&streamCkptRuleSticky != 0
 		if rf&streamCkptRuleDead != 0 {
-			if uint64(len(cp)) < off+2 {
+			if len(rec) < 2 {
 				return nil, fmt.Errorf("%w: truncated rule %d error", ErrBadCheckpoint, i)
 			}
-			mlen := uint64(binary.BigEndian.Uint16(cp[off : off+2]))
-			off += 2
-			if uint64(len(cp)) < off+mlen {
+			mlen := int(binary.BigEndian.Uint16(rec[:2]))
+			rec = rec[2:]
+			if len(rec) < mlen {
 				return nil, fmt.Errorf("%w: truncated rule %d error text", ErrBadCheckpoint, i)
 			}
-			dead[i] = errors.New(string(cp[off : off+mlen]))
-			off += mlen
+			dead[i] = errors.New(string(rec[:mlen]))
+			rec = rec[mlen:]
 		}
 	}
-	if off != uint64(len(cp)) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, uint64(len(cp))-off)
+	if len(rec) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rec))
 	}
 	return &Stream{
-		rs:      rs,
-		overlap: int(overlap),
-		buf:     buf,
-		base:    int(base),
-		pos:     pos,
-		sticky:  sticky,
-		dead:    dead,
-		done:    done,
+		rs:     rs,
+		win:    stream.NewWindow(int(h.overlap), int(base), append([]byte(nil), h.carry...)),
+		pos:    pos,
+		sticky: sticky,
+		dead:   dead,
+		done:   h.done,
 	}, nil
 }
 
@@ -220,30 +242,15 @@ type CheckpointInfo struct {
 // it. It validates the same structural invariants as RestoreStream up
 // to (not including) the per-rule records' contents.
 func PeekCheckpoint(cp []byte) (CheckpointInfo, error) {
-	if len(cp) < streamCkptHeaderLen {
-		return CheckpointInfo{}, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	h, _, err := parseCkptHeader(cp)
+	if err != nil {
+		return CheckpointInfo{}, err
 	}
-	if cp[0] != streamCkptVersion {
-		return CheckpointInfo{}, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
-	}
-	if cp[1]&^byte(streamCkptFlagDone) != 0 {
-		return CheckpointInfo{}, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
-	}
-	info := CheckpointInfo{
-		Done:    cp[1]&streamCkptFlagDone != 0,
-		Overlap: binary.BigEndian.Uint32(cp[2:6]),
-	}
-	base := binary.BigEndian.Uint64(cp[6:14])
-	blen := binary.BigEndian.Uint32(cp[14:18])
-	if info.Overlap == 0 || base > streamCkptMaxOffset {
-		return CheckpointInfo{}, fmt.Errorf("%w: bad header", ErrBadCheckpoint)
-	}
-	off := uint64(streamCkptHeaderLen) + uint64(blen)
-	if uint64(len(cp)) < off+4 {
-		return CheckpointInfo{}, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
-	}
-	info.Buffered = uint64(blen)
-	info.Consumed = base + uint64(blen)
-	info.Rules = binary.BigEndian.Uint32(cp[off : off+4])
-	return info, nil
+	return CheckpointInfo{
+		Consumed: h.base + uint64(len(h.carry)),
+		Buffered: uint64(len(h.carry)),
+		Overlap:  h.overlap,
+		Rules:    h.rules,
+		Done:     h.done,
+	}, nil
 }

@@ -380,14 +380,11 @@ func (e *Engine) Find(data []byte) (Match, bool, error) {
 
 // FindCtx is Find with cooperative cancellation: the core polls ctx
 // between match attempts and every few thousand simulated cycles.
-func (e *Engine) FindCtx(ctx context.Context, data []byte) (Match, bool, error) {
-	if e.admit != nil && !e.screenData(data) {
-		return Match{}, false, nil
-	}
-	m, ok, err := e.finder().FindFromCtx(ctx, data, 0)
-	if e.admit != nil && ok {
-		e.approxCtr.ExactHitWindows++
-	}
+func (e *Engine) FindCtx(ctx context.Context, data []byte) (m Match, ok bool, err error) {
+	e.screened(data, func() bool {
+		m, ok, err = e.finder().FindFromCtx(ctx, data, 0)
+		return ok
+	})
 	return m, ok, e.fail(err)
 }
 
@@ -422,26 +419,26 @@ func (e *Engine) FindAllCtx(ctx context.Context, data []byte) ([]Match, error) {
 		res, err := e.runMultiCtx(ctx, data)
 		return res.Matches, err
 	}
-	if e.admit != nil && !e.screenData(data) {
-		return nil, nil
-	}
-	ms, err := e.findAllSingle(ctx, data)
-	if e.admit != nil && len(ms) > 0 {
-		e.approxCtr.ExactHitWindows++
-	}
+	ms, _, err := e.findAllSingle(ctx, data)
 	return ms, e.fail(err)
 }
 
 // findAllSingle runs the one-shot FindAll discipline on the single
-// core: through the DFA gate when the fast path is on, straight
+// core behind the admission stage (admitted is false when it proved
+// data clean): through the DFA gate when the fast path is on, straight
 // through the resilient policy loop otherwise. Both paths apply the
 // same failure policy (it lives in the guarded finder) and return
 // byte-identical matches.
-func (e *Engine) findAllSingle(ctx context.Context, data []byte) ([]Match, error) {
-	if e.dfa != nil {
-		return findAllWith(ctx, e.finder(), data)
-	}
-	return resilientFindAll(ctx, e.single, e.safe, e.policy, data, func() { e.guard.Fallbacks++ })
+func (e *Engine) findAllSingle(ctx context.Context, data []byte) (ms []Match, admitted bool, err error) {
+	admitted = e.screened(data, func() bool {
+		if e.dfa != nil {
+			ms, err = findAllWith(ctx, e.finder(), data, 0)
+		} else {
+			ms, err = resilientFindAll(ctx, e.single, e.safe, e.policy, data, func() { e.guard.Fallbacks++ })
+		}
+		return len(ms) > 0
+	})
+	return ms, admitted, err
 }
 
 // Count returns the number of non-overlapping matches.
@@ -478,24 +475,8 @@ func (e *Engine) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(m Mat
 	cfg := e.stream
 	if e.admit != nil {
 		// Screen each overlap window; windows proven clean never reach
-		// the finder. The settle bookkeeping attributes emitted matches
-		// to the admitted window they arrived in (windows are scanned
-		// strictly in order on this one goroutine).
-		admitted, hits := false, 0
-		settle := func() {
-			if admitted && hits > 0 {
-				e.approxCtr.ExactHitWindows++
-			}
-			admitted, hits = false, 0
-		}
-		cfg.Screen = func(buf []byte) bool {
-			settle()
-			admitted = e.screenData(buf)
-			return admitted
-		}
-		inner := emit
-		emit = func(m Match, text []byte) bool { hits++; return inner(m, text) }
-		defer settle()
+		// the finder.
+		cfg.Screen = e.screened
 	}
 	sc := stream.ForFinder(e.finder(), cfg)
 	sc.SetCounters(&e.streamCtr)
@@ -562,7 +543,7 @@ func (e *Engine) runMultiCtx(ctx context.Context, data []byte) (multicore.Result
 			// Re-scan the whole extended window on the safe engine; the
 			// ownership filter keeps the result set disjoint from the
 			// neighbouring chunks exactly as it does for healthy cores.
-			ms, ferr := e.safe.findAll(ctx, data[f.Chunk.Lo:f.Chunk.Ext], 0)
+			ms, ferr := findAllWith(ctx, e.safe, data[f.Chunk.Lo:f.Chunk.Ext], 0)
 			res.Matches = append(res.Matches, stream.OwnMatches(ms, f.Chunk.Lo, f.Chunk.Hi)...)
 			if ferr != nil {
 				return res, e.fail(ferr)
@@ -591,12 +572,9 @@ func (e *Engine) RunCtx(ctx context.Context, data []byte) (multicore.Result, err
 		return e.runMultiCtx(ctx, data)
 	}
 	e.single.ResetStats()
-	if e.admit != nil && !e.screenData(data) {
+	ms, admitted, err := e.findAllSingle(ctx, data)
+	if !admitted {
 		return multicore.Result{Chunks: 1}, nil
-	}
-	ms, err := e.findAllSingle(ctx, data)
-	if e.admit != nil && len(ms) > 0 {
-		e.approxCtr.ExactHitWindows++
 	}
 	st := e.single.Stats()
 	res := multicore.Result{

@@ -119,11 +119,13 @@ func (f *fastFinder) FindFromCtx(ctx context.Context, data []byte, from int) (ar
 }
 
 // findAllWith runs the one-shot FindAll resume discipline through an
-// arbitrary finder — the fast path's counterpart of resilientFindAll
-// (the policy lives inside the wrapped guarded finder).
-func findAllWith(ctx context.Context, f stream.Finder, data []byte) ([]Match, error) {
+// arbitrary finder, collecting every match that starts at or after
+// from — the fast path's counterpart of resilientFindAll (the policy
+// lives inside the wrapped guarded finder) and the safe engine's
+// whole-scan loop.
+func findAllWith(ctx context.Context, f stream.Finder, data []byte, from int) ([]Match, error) {
 	var out []Match
-	pos := 0
+	pos := from
 	for pos <= len(data) {
 		m, ok, err := f.FindFromCtx(ctx, data, pos)
 		if err != nil {

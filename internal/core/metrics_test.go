@@ -144,6 +144,52 @@ func TestRuleSetOccupancyInvariant(t *testing.T) {
 	if rs.StreamCounters().Bytes != int64(len(stream)) {
 		t.Fatalf("stream bytes %d, want %d", rs.StreamCounters().Bytes, len(stream))
 	}
+
+	// A unit whose every rule the prefilter withheld dispatches nothing
+	// and starts no worker: no slot appears, none moves.
+	lits := []string{"needle", "haystack"}
+	pf, err := NewRuleSet(lits, backend.Options{}, WithWorkers(3), WithDFA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.PrefilteredRules() != len(lits) {
+		t.Fatalf("prefilter gates %d of %d rules", pf.PrefilteredRules(), len(lits))
+	}
+	clean := strings.Repeat("pad pad pad ", 50)
+	scanClean := func() {
+		t.Helper()
+		if out, err := pf.Scan([]byte(clean)); err != nil || out != nil {
+			t.Fatalf("clean Scan = %v, %v", out, err)
+		}
+		if _, err := pf.ScanReader(strings.NewReader(clean), func(int, Match, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scanClean()
+	if occ := pf.WorkerOccupancy(); len(occ) != 0 || pf.Dispatched() != 0 {
+		t.Fatalf("all-skipped units: occupancy %v, dispatched %d, want none", occ, pf.Dispatched())
+	}
+	if _, err := pf.Scan([]byte("a needle in a haystack")); err != nil {
+		t.Fatal(err)
+	}
+	before, sum = pf.Dispatched(), 0
+	for _, c := range pf.WorkerOccupancy() {
+		sum += c
+	}
+	if before != int64(len(lits)) || sum != before {
+		t.Fatalf("dispatched %d, occupancy sum %d, want %d", before, sum, len(lits))
+	}
+	skips := pf.FastStats().PrefilterSkips
+	scanClean()
+	for _, c := range pf.WorkerOccupancy() {
+		sum -= c
+	}
+	if pf.Dispatched() != before || sum != 0 {
+		t.Fatalf("all-skipped units moved dispatched %d -> %d, occupancy sum by %d", before, pf.Dispatched(), -sum)
+	}
+	if got, want := pf.FastStats().PrefilterSkips-skips, int64(2*len(lits)); got != want {
+		t.Fatalf("prefilter skips grew by %d, want %d (every rule, both units)", got, want)
+	}
 }
 
 // TestRuleSetPerRuleRollup checks the per-rule breakdown decomposes the

@@ -258,19 +258,14 @@ func (rs *RuleSet) Engine(i int) *Engine { return rs.engines[i] }
 // Workers returns the scan concurrency bound (0 means GOMAXPROCS).
 func (rs *RuleSet) Workers() int { return rs.workers }
 
-// workerCount clamps the configured bound to the job count.
+// workerCount clamps the configured bound to the job count: a fan-out
+// that dispatches nothing starts no worker.
 func (rs *RuleSet) workerCount(jobs int) int {
 	n := rs.workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > jobs {
-		n = jobs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(n, jobs)
 }
 
 // getCore borrows the i-th rule's scanning core, reset for a new input,
@@ -289,13 +284,14 @@ func (rs *RuleSet) getCore(i int) (*arch.Core, error) {
 	return c, nil
 }
 
-// merge folds one fan-out's telemetry into the roll-ups: per[i] is each
-// scanned rule's counters for this batch, occ[w] each worker slot's
-// completed-job count, and sent the number of jobs dispatched. Window
-// throughput (when the batch was one stream window of nr bytes) rides
-// along so every early return inside the scan loops leaves the
-// roll-ups consistent.
-func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent int64, windows, nr int64) {
+// merge folds one fan-out's telemetry into the roll-ups under one lock:
+// per[i] is each scanned rule's counters for this batch, occ[w] each
+// worker slot's completed-job count, sent and skipped the rules the
+// prefilter dispatched and withheld, and hit whether an admitted unit
+// produced exact matches. Window throughput (when the batch was one
+// stream window of nr bytes) rides along so every early return inside
+// the scan loops leaves the roll-ups consistent.
+func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent, skipped int64, hit bool, windows, nr int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for i := range per {
@@ -309,8 +305,22 @@ func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent int64, windows, nr 
 		rs.occ[w] += c
 	}
 	rs.dispatched += sent
+	if rs.useDFA {
+		rs.fast.PrefilterPasses += sent
+		rs.fast.PrefilterSkips += skipped
+	}
+	if hit {
+		rs.approxCtr.ExactHitWindows++
+	}
 	rs.streamCtr.Windows += windows
 	rs.streamCtr.Bytes += nr
+}
+
+// noteCancel counts one scan aborted by its context.
+func (rs *RuleSet) noteCancel() {
+	rs.mu.Lock()
+	rs.agg.CancelledScans++
+	rs.mu.Unlock()
 }
 
 // RuleMatches reports one rule's hits in a scanned stream.
@@ -324,41 +334,155 @@ type RuleMatches struct {
 	Err error
 }
 
-// scanRule runs one rule over data with the failure policy applied,
-// recovering a panicking core into a *ScanError so one faulty rule (or
-// a corrupted pooled core) cannot take down the whole scan. The core
-// is returned to the rule's pool only on a normal return — a panicked
-// core is abandoned.
-func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte) (ms []Match, st arch.Stats, err error) {
+// ruleResult is one rule's outcome in a fan-out.
+type ruleResult struct {
+	ms  []Match
+	err error
+}
+
+// fanOut runs rs's tier chain over one unit of input — a whole Scan
+// input or one stream window of nr new bytes — and is the only place
+// the tiers are ordered: the approx screen (a clean verdict proves no
+// rule matches, so nothing else runs), the cross-rule prefilter's
+// candidate mask (a rule whose necessary literal is absent cannot match
+// and is never dispatched), the worker fan-out of the remaining rules
+// through run, and the telemetry roll-up. Workers are sized from the
+// jobs actually dispatched, so a unit whose every rule was withheld
+// spawns nothing; it and a screened-out unit return nil.
+//
+// s is the caller's own state, handed back to its callbacks. retired
+// (nil for none) marks rules that take no part; clean (nil when the
+// caller keeps no per-rule position) is told each live rule a tier
+// proved match-free in this unit. run is called on a worker, at most
+// once per rule, with the slot for the rule's counters (a pointer: the
+// workers' stacks are deep enough without 192-byte returns), and res[i]
+// holds what it returned; emission from res in rule order is
+// deterministic. Callers pass method expressions, not closures: a unit
+// that dispatches nothing then allocates nothing.
+func fanOut[S any](ctx context.Context, rs *RuleSet, s S, data []byte, windows, nr int64, retired []error,
+	clean func(S, int), run func(S, context.Context, int, []byte, *arch.Stats) ([]Match, error)) []ruleResult {
+	n := rs.Len()
+	live := func(i int) bool { return retired == nil || retired[i] == nil }
+	screened := rs.screening()
+	if screened && !rs.screenWindow(data) {
+		for i := 0; i < n; i++ {
+			if clean != nil && live(i) {
+				clean(s, i)
+			}
+		}
+		rs.merge(nil, nil, 0, 0, false, windows, nr)
+		return nil
+	}
+	cand := rs.candidates(data)
+	defer rs.putBits(cand)
+	dispatch := func(i int) bool { return live(i) && (cand == nil || cand.Has(i)) }
+	var sent, skipped int
+	for i := 0; i < n; i++ {
+		switch {
+		case dispatch(i):
+			sent++
+		case live(i):
+			skipped++
+			if clean != nil {
+				clean(s, i)
+			}
+		}
+	}
+	if sent == 0 {
+		rs.merge(nil, nil, 0, int64(skipped), false, windows, nr)
+		return nil
+	}
+
+	// Collect per rule so the caller's emission is deterministic.
+	res := make([]ruleResult, n)
+	per := make([]arch.Stats, n)
+	occ := make([]int64, rs.workerCount(sent))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := range occ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range jobs {
+				res[i].ms, res[i].err = run(s, ctx, i, data, &per[i])
+				occ[w]++
+			}
+		}(w)
+	}
+	for i := 0; i < n; i++ {
+		if dispatch(i) {
+			jobs <- i
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	hit := false
+	for _, r := range res {
+		hit = hit || (screened && len(r.ms) > 0)
+	}
+	rs.merge(per, occ, int64(sent), int64(skipped), hit, windows, nr)
+	return res
+}
+
+// withRule borrows rule i's scanning core — wrapped in the failure
+// policy, sticky carrying a stream's degraded state in — and, when the
+// rule has one, its lazy-DFA gate (nil otherwise), runs search through
+// them, and returns both to their pools with the core's counters
+// written to st and the gate's folded into the roll-ups. A panicking
+// search is recovered into a *ScanError
+// at offset from, so one faulty rule (or a corrupted pooled core)
+// cannot take down the whole scan; the core is pooled again only on a
+// normal return — a panicked core is abandoned. nowSticky reports
+// whether the rule fell back to the safe engine.
+func (rs *RuleSet) withRule(i int, from int64, sticky bool, st *arch.Stats, search func(g *guarded, gate *fastFinder) ([]Match, error)) (ms []Match, nowSticky bool, err error) {
+	nowSticky = sticky
 	defer func() {
 		if r := recover(); r != nil {
 			ms = nil
-			err = &ScanError{Rule: i, Offset: -1, Cause: fmt.Errorf("rule fault: %v", r)}
+			err = &ScanError{Rule: i, Offset: from, Cause: fmt.Errorf("rule fault: %v", r)}
 		}
 	}()
 	core, cerr := rs.getCore(i)
 	if cerr != nil {
-		return nil, st, scanErrFor(i, cerr)
+		return nil, sticky, scanErrFor(i, cerr)
 	}
 	var fallbacks int64
-	var ferr error
+	g := &guarded{
+		core:       core,
+		vm:         rs.safes[i],
+		policy:     rs.policy,
+		degraded:   sticky,
+		onFallback: func() { fallbacks++ },
+	}
+	var serr error
 	if dfa := rs.getDFA(i); dfa != nil {
-		g := &guarded{
-			core:       core,
-			vm:         rs.safes[i],
-			policy:     rs.policy,
-			onFallback: func() { fallbacks++ },
-		}
+		// Gate stickiness (a cache bail) is scoped to this borrow; the
+		// next one retries the gate on a flushed cache.
 		var fst FastStats
-		ms, ferr = findAllWith(ctx, &fastFinder{dfa: dfa, slow: g, st: &fst}, data)
+		ms, serr = search(g, &fastFinder{dfa: dfa, slow: g, st: &fst})
 		rs.putDFA(i, dfa, &fst)
 	} else {
-		ms, ferr = resilientFindAll(ctx, core, rs.safes[i], rs.policy, data, func() { fallbacks++ })
+		ms, serr = search(g, nil)
 	}
-	st = core.Stats()
+	*st = core.Stats()
 	st.Fallbacks += fallbacks
 	rs.pools[i].Put(core)
-	return ms, st, scanErrFor(i, ferr)
+	return ms, g.degraded, scanErrFor(i, serr)
+}
+
+// scanRule is ScanCtx's per-rule scan, run on a fanOut worker: the
+// one-shot FindAll discipline over the whole input.
+func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte, st *arch.Stats) ([]Match, error) {
+	ms, _, err := rs.withRule(i, -1, false, st, func(g *guarded, gate *fastFinder) ([]Match, error) {
+		if gate != nil {
+			return findAllWith(ctx, gate, data, 0)
+		}
+		// Ungated, the core's own FindAll loop runs: probing it one
+		// FindFrom at a time would change the simulated cycle count.
+		return resilientFindAll(ctx, g.core, g.vm, g.policy, data, g.onFallback)
+	})
+	return ms, err
 }
 
 // Scan runs every rule over data on the worker pool and returns the
@@ -376,97 +500,29 @@ func (rs *RuleSet) Scan(data []byte) ([]RuleMatches, error) {
 // and the returned error stays nil. Cancellation always aborts with the
 // partial results collected so far.
 func (rs *RuleSet) ScanCtx(ctx context.Context, data []byte) ([]RuleMatches, error) {
-	n := rs.Len()
-	if n == 0 {
+	if rs.Len() == 0 {
 		return nil, nil
 	}
-	// Admission first: a clean verdict proves no rule matches anywhere
-	// in the input, so the prefilter and the fan-out are skipped and
-	// the result is exactly the empty result they would produce.
-	screened := rs.screening()
-	if screened && !rs.screenWindow(data) {
-		return nil, nil
-	}
-	// One prefilter pass over the input picks the candidate rules; a
-	// rule whose necessary literal is absent cannot match and is never
-	// dispatched (its result is exactly the empty result it would
-	// produce).
-	cand := rs.candidates(data)
-	matches := make([][]Match, n)
-	errs := make([]error, n)
-	per := make([]arch.Stats, n)
-	occ := make([]int64, rs.workerCount(n))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := range occ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				ms, st, err := rs.scanRule(ctx, i, data)
-				matches[i], errs[i] = ms, err
-				per[i] = st
-				occ[w]++
-			}
-		}(w)
-	}
-	var sent, skipped int64
-	for i := 0; i < n; i++ {
-		if cand != nil && !cand.Has(i) {
-			skipped++
-			continue
-		}
-		jobs <- i
-		sent++
-	}
-	close(jobs)
-	wg.Wait()
-	rs.putBits(cand)
-	if rs.useDFA {
-		rs.mu.Lock()
-		rs.fast.PrefilterPasses += sent
-		rs.fast.PrefilterSkips += skipped
-		rs.mu.Unlock()
-	}
-
+	res := fanOut(ctx, rs, rs, data, 0, 0, nil, nil, (*RuleSet).scanRule)
 	var scanErr error
-	cancelled := false
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if isCancel(err) {
-			cancelled = true
-			scanErr = err
+	for _, r := range res {
+		if isCancel(r.err) {
+			scanErr = r.err
+			rs.noteCancel()
 			break
 		}
-		if rs.policy == FailFast && scanErr == nil {
-			scanErr = err
+		if r.err != nil && rs.policy == FailFast && scanErr == nil {
+			scanErr = r.err
 		}
 	}
-	rs.merge(per, occ, sent, 0, 0)
-	if cancelled {
-		rs.mu.Lock()
-		rs.agg.CancelledScans++
-		rs.mu.Unlock()
-	}
-
 	var out []RuleMatches
-	hit := false
-	for i, ms := range matches {
-		ruleErr := errs[i]
-		if isCancel(ruleErr) {
-			ruleErr = nil // reported as the scan error, not a rule fault
+	for i, r := range res {
+		if isCancel(r.err) {
+			r.err = nil // reported as the scan error, not a rule fault
 		}
-		if len(ms) > 0 {
-			hit = true
+		if len(r.ms) > 0 || r.err != nil {
+			out = append(out, RuleMatches{Rule: i, Matches: r.ms, Err: r.err})
 		}
-		if len(ms) > 0 || ruleErr != nil {
-			out = append(out, RuleMatches{Rule: i, Matches: ms, Err: ruleErr})
-		}
-	}
-	if screened && hit {
-		rs.creditExactHit()
 	}
 	return out, scanErr
 }
@@ -487,52 +543,6 @@ func (rs *RuleSet) ScanReader(r io.Reader, emit func(rule int, m Match, text []b
 	return rs.ScanReaderCtx(context.Background(), r, emit)
 }
 
-// scanRuleWindow runs one rule's window scan with the failure policy
-// applied, recovering panics as scanRule does. sticky carries the
-// rule's degraded state between windows so a rule that fell back to the
-// safe engine stays on it for the rest of the stream.
-func (rs *RuleSet) scanRuleWindow(ctx context.Context, i int, buf []byte, base int, final bool, overlap, from int, sticky bool) (ms []Match, st arch.Stats, npos int, nowSticky bool, err error) {
-	npos, nowSticky = from, sticky
-	defer func() {
-		if r := recover(); r != nil {
-			ms = nil
-			err = &ScanError{Rule: i, Offset: int64(from), Cause: fmt.Errorf("rule fault: %v", r)}
-		}
-	}()
-	core, cerr := rs.getCore(i)
-	if cerr != nil {
-		return nil, st, from, sticky, scanErrFor(i, cerr)
-	}
-	var fallbacks int64
-	g := &guarded{
-		core:       core,
-		vm:         rs.safes[i],
-		policy:     rs.policy,
-		degraded:   sticky,
-		onFallback: func() { fallbacks++ },
-	}
-	var f stream.Finder = g
-	dfa := rs.getDFA(i)
-	var fst FastStats
-	if dfa != nil {
-		// Gate stickiness (a cache bail) is scoped to this window; the
-		// next window retries the gate on a flushed cache.
-		f = &fastFinder{dfa: dfa, slow: g, st: &fst}
-	}
-	npos, _, werr := stream.ScanWindowCtx(ctx, f, buf, base, final, overlap, from,
-		func(m Match, _ []byte) bool {
-			ms = append(ms, m)
-			return true
-		})
-	if dfa != nil {
-		rs.putDFA(i, dfa, &fst)
-	}
-	st = core.Stats()
-	st.Fallbacks += fallbacks
-	rs.pools[i].Put(core)
-	return ms, st, npos, g.degraded, scanErrFor(i, werr)
-}
-
 // ScanReaderCtx is ScanReader with cooperative cancellation (checked
 // every window) and per-rule fault isolation: a rule whose core faults
 // past what its policy can contain is retired from the scan — the
@@ -542,38 +552,29 @@ func (rs *RuleSet) scanRuleWindow(ctx context.Context, i int, buf []byte, base i
 // cancellation always aborts, reporting the bytes consumed so far. A
 // rule degraded to the safe engine (Degrade policy) stays on it for the
 // remainder of the stream.
-// The loop is the pull-mode driver over the same Stream state machine
-// push-mode callers (the scan service's streaming sessions) use, so
-// the two paths cannot diverge: each refill is one Stream window.
+// The scan is stream.Window's pull loop over the same Stream state
+// machine push-mode callers (the scan service's streaming sessions)
+// use, so the two paths cannot diverge: each refill is one Stream
+// window.
 func (rs *RuleSet) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(rule int, m Match, text []byte) bool) (int64, error) {
-	cfg := rs.stream
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = stream.DefaultChunkSize
+	chunk := rs.stream.ChunkSize
+	if chunk <= 0 {
+		chunk = stream.DefaultChunkSize
 	}
-	st := rs.NewStream(cfg.Overlap)
-	final := false
-	for !final {
-		if cerr := ctx.Err(); cerr != nil {
-			rs.mu.Lock()
-			rs.agg.CancelledScans++
-			rs.mu.Unlock()
-			return st.Consumed(), scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: cerr})
+	st := rs.NewStream(rs.stream.Overlap)
+	err := st.win.Fill(ctx, r, chunk, func(nr int, final bool) (bool, error) {
+		return st.window(ctx, nr, final, emit)
+	})
+	if re, ok := err.(*stream.ReadError); ok {
+		// The loop's own failure (a window's is already a *ScanError
+		// and, when cancelled, already counted).
+		if isCancel(re) {
+			rs.noteCancel()
 		}
-		have := st.Buffered()
-		nr, err := io.ReadFull(r, st.grow(cfg.ChunkSize))
-		st.commit(have, nr)
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			final = true
-		default:
-			// Consumed is the first byte the refill could not deliver.
-			return st.Consumed(), scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: err})
-		}
-		cont, werr := st.window(ctx, nr, final, emit)
-		if werr != nil || !cont {
-			return st.Consumed(), werr
-		}
+		err = scanErrFor(-1, re)
+	}
+	if err != nil {
+		return st.Consumed(), err
 	}
 	return st.Consumed(), errors.Join(st.dead...)
 }

@@ -62,29 +62,6 @@ func (s *safeVM) FindFromCtx(ctx context.Context, data []byte, from int) (arch.M
 	return arch.Match{Start: m.Start, End: m.End}, ok, nil
 }
 
-// findAll collects every match starting at or after from, polling ctx
-// between matches.
-func (s *safeVM) findAll(ctx context.Context, data []byte, from int) ([]Match, error) {
-	var out []Match
-	pos := from
-	for pos <= len(data) {
-		m, ok, err := s.FindFromCtx(ctx, data, pos)
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, m)
-		if m.End > m.Start {
-			pos = m.End
-		} else {
-			pos = m.End + 1
-		}
-	}
-	return out, nil
-}
-
 // guarded wraps an execution core with the failure policy, implementing
 // stream.Finder: recoverable faults (runaway, speculation-stack
 // overflow) are retried on the safe engine (Degrade) or skipped past
@@ -151,7 +128,7 @@ func resilientFindAll(ctx context.Context, core *arch.Core, vm *safeVM, policy P
 			// The failing attempt's offset is the exact resume point: every
 			// earlier offset was either matched or cleared by the core, and
 			// the two engines agree on the supported semantics.
-			rest, ferr := vm.findAll(ctx, data, off)
+			rest, ferr := findAllWith(ctx, vm, data, off)
 			return append(ms, rest...), ferr
 		}
 		var more []Match

@@ -3,15 +3,15 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"alveare/internal/arch"
 	"alveare/internal/stream"
 )
 
 // Stream is a resumable push-mode scan of one unbounded flow against
-// every rule — the rule-set counterpart of stream.Session, and the
-// state a scan-service streaming session carries across frames. Each
+// every rule — the state a scan-service streaming session carries
+// across frames: one stream.Window plus, per rule, a resume offset and
+// the degraded/retired state the failure policy left it in. Each
 // pushed chunk is scanned as one window of the overlap discipline with
 // one resume position per rule, the cross-rule literal prefilter run
 // per window, fast-path gating intact and per-rule degraded/retired
@@ -25,14 +25,12 @@ import (
 // be serialised (the scan service's session registry enforces this);
 // the RuleSet underneath stays safe for concurrent use by other scans.
 type Stream struct {
-	rs      *RuleSet
-	overlap int
-	buf     []byte
-	base    int   // stream offset of buf[0]
-	pos     []int // per-rule resume offsets
-	sticky  []bool
-	dead    []error
-	done    bool
+	rs     *RuleSet
+	win    stream.Window
+	pos    []int // per-rule resume offsets
+	sticky []bool
+	dead   []error
+	done   bool
 }
 
 // NewStream opens push-mode carry-over state for the rule set.
@@ -47,44 +45,20 @@ func (rs *RuleSet) NewStream(overlap int) *Stream {
 	}
 	n := rs.Len()
 	return &Stream{
-		rs:      rs,
-		overlap: overlap,
-		pos:     make([]int, n),
-		sticky:  make([]bool, n),
-		dead:    make([]error, n),
+		rs:     rs,
+		win:    stream.NewWindow(overlap, 0, nil),
+		pos:    make([]int, n),
+		sticky: make([]bool, n),
+		dead:   make([]error, n),
 	}
 }
 
 // Overlap returns the boundary carry in bytes — the longest match the
 // stream is guaranteed to report identically to a one-shot scan.
-func (st *Stream) Overlap() int { return st.overlap }
+func (st *Stream) Overlap() int { return st.win.Overlap() }
 
 // Consumed returns the total stream bytes absorbed so far.
-func (st *Stream) Consumed() int64 { return int64(st.base + len(st.buf)) }
-
-// Buffered returns the resident carry-over tail in bytes (at most
-// Overlap after each completed push).
-func (st *Stream) Buffered() int { return len(st.buf) }
-
-// Finished reports whether the stream has been finalised (FinishCtx
-// ran, a fault aborted it, or emit stopped it).
-func (st *Stream) Finished() bool { return st.done }
-
-// grow extends the window by n bytes and returns the scratch region
-// for the caller to fill — the zero-copy refill path ScanReaderCtx
-// uses. commit trims the region to the bytes actually delivered.
-func (st *Stream) grow(n int) []byte {
-	have := len(st.buf)
-	if cap(st.buf) < have+n {
-		nb := make([]byte, have, have+n+st.overlap)
-		copy(nb, st.buf)
-		st.buf = nb
-	}
-	st.buf = st.buf[:have+n]
-	return st.buf[have:]
-}
-
-func (st *Stream) commit(have, n int) { st.buf = st.buf[:have+n] }
+func (st *Stream) Consumed() int64 { return int64(st.win.Limit()) }
 
 // PushCtx scans chunk as the flow's next window. emit is called
 // sequentially, rules in rule order, with absolute stream offsets;
@@ -98,14 +72,11 @@ func (st *Stream) PushCtx(ctx context.Context, chunk []byte, emit func(rule int,
 		return false, stream.ErrSessionFinished
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		rs := st.rs
-		rs.mu.Lock()
-		rs.agg.CancelledScans++
-		rs.mu.Unlock()
+		st.rs.noteCancel()
 		st.done = true
 		return false, scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: cerr})
 	}
-	copy(st.grow(len(chunk)), chunk)
+	st.win.Append(chunk)
 	return st.window(ctx, len(chunk), false, emit)
 }
 
@@ -124,133 +95,69 @@ func (st *Stream) FinishCtx(ctx context.Context, emit func(rule int, m Match, te
 	return cont, errors.Join(st.dead...)
 }
 
-// window runs one window pass over the buffered bytes: prefilter, rule
-// fan-out to the worker pool, telemetry merge, deterministic emission,
+// windowPass is one window of a stream as fanOut's callbacks see it.
+// It travels by value, so the per-window final flag needs neither a
+// closure nor a field that outlives the window.
+type windowPass struct {
+	st    *Stream
+	final bool
+}
+
+// cleanRule advances rule i past a window a tier proved match-free for
+// it (the approx screen for every rule, the prefilter for one whose
+// literal is absent) exactly as a no-match stream.ScanWindowCtx pass
+// would, so the skip is byte-identical: a match straddling the window
+// boundary starts inside the carry tail and reappears whole — and is
+// screened again — in the next window.
+func (p windowPass) cleanRule(i int) {
+	p.st.pos[i] = p.st.win.CleanAdvance(p.st.pos[i], p.final)
+}
+
+// scanRule is rule i's scan of the window, run on a fanOut worker;
+// only the rule's own slots are written.
+func (p windowPass) scanRule(ctx context.Context, i int, buf []byte, stats *arch.Stats) ([]Match, error) {
+	st := p.st
+	ms, sticky, err := st.rs.withRule(i, int64(st.pos[i]), st.sticky[i], stats, func(g *guarded, gate *fastFinder) (ms []Match, err error) {
+		var f stream.Finder = g
+		if gate != nil {
+			f = gate
+		}
+		st.pos[i], _, err = stream.ScanWindowCtx(ctx, f, buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
+			func(m Match, _ []byte) bool {
+				ms = append(ms, m)
+				return true
+			})
+		return ms, err
+	})
+	st.sticky[i] = sticky
+	return ms, err
+}
+
+// window runs one window pass over the buffered bytes: the rule set's
+// tier chain (fanOut) with each dispatched rule's window scan,
+// retirement of rules the policy contained, deterministic emission,
 // and (on a non-final continuing window) the overlap carry. nr is the
 // byte count this window added, for the throughput roll-up.
 func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule int, m Match, text []byte) bool) (bool, error) {
-	rs := st.rs
-	n := rs.Len()
-	buf, base := st.buf, st.base
-	limit := base + len(buf)
-	ownEnd := limit
-	if !final {
-		ownEnd = limit - st.overlap
-		if ownEnd < base {
-			ownEnd = base
-		}
-	}
-
-	// Admission first: one filter walk over the whole buffered window
-	// (carry tail plus new bytes) stands in for every rule's window
-	// scan when it proves the window clean. Live rules' resume offsets
-	// then advance exactly as a no-match ScanWindowCtx pass would, so
-	// the skip is byte-identical; a match straddling the window
-	// boundary starts inside the carry tail and reappears whole — and
-	// is screened again — in the next window.
-	screened := rs.screening()
-	if screened && !rs.screenWindow(buf) {
-		for i := 0; i < n; i++ {
-			if st.dead[i] != nil {
-				continue
-			}
-			if final {
-				st.pos[i] = limit + 1
-			} else if st.pos[i] < ownEnd {
-				st.pos[i] = ownEnd
-			}
-		}
-		rs.merge(nil, nil, 0, 1, int64(nr))
-		if final {
-			st.done = true
-			return true, nil
-		}
-		st.carryTail(limit)
-		return true, nil
-	}
-
-	// One prefilter pass over the window buffer picks the candidate
-	// rules. A skipped rule's resume offset advances exactly as a
-	// no-match window scan would (stream.ScanWindowCtx's contract):
-	// the literal's absence from the buffer proves no match lies in
-	// the window, so the two are byte-identical.
-	cand := rs.candidates(buf)
-
-	// Fan the window out to the workers; collect per rule so the
-	// emission below is deterministic.
-	wins := make([][]Match, n)
-	errs := make([]error, n)
-	per := make([]arch.Stats, n)
-	occ := make([]int64, rs.workerCount(n))
-	var sent, skipped int64
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := range occ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				ms, stats, npos, deg, err := rs.scanRuleWindow(ctx, i, buf, base, final, st.overlap, st.pos[i], st.sticky[i])
-				wins[i], errs[i] = ms, err
-				st.pos[i], st.sticky[i] = npos, deg
-				per[i] = stats
-				occ[w]++
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		if st.dead[i] != nil {
+	rs, w := st.rs, &st.win
+	buf, base := w.Bytes(), w.Base()
+	res := fanOut(ctx, rs, windowPass{st, final}, buf, 1, int64(nr), st.dead, windowPass.cleanRule, windowPass.scanRule)
+	for i, r := range res {
+		if r.err == nil {
 			continue
 		}
-		if cand != nil && !cand.Has(i) {
-			if final {
-				st.pos[i] = limit + 1
-			} else if st.pos[i] < ownEnd {
-				st.pos[i] = ownEnd
-			}
-			skipped++
-			continue
-		}
-		jobs <- i
-		sent++
-	}
-	close(jobs)
-	wg.Wait()
-	rs.putBits(cand)
-	if rs.useDFA {
-		rs.mu.Lock()
-		rs.fast.PrefilterPasses += sent
-		rs.fast.PrefilterSkips += skipped
-		rs.mu.Unlock()
-	}
-
-	rs.merge(per, occ, sent, 1, int64(nr))
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if isCancel(err) || rs.policy == FailFast {
-			if isCancel(err) {
-				rs.mu.Lock()
-				rs.agg.CancelledScans++
-				rs.mu.Unlock()
+		if isCancel(r.err) || rs.policy == FailFast {
+			if isCancel(r.err) {
+				rs.noteCancel()
 			}
 			st.done = true
-			return false, err
+			return false, r.err
 		}
 		// Retire the rule; the stream scan outlives it. Park its
 		// resume offset past the stream so a stale offset can never
 		// fault the carry-over arithmetic.
-		st.dead[i] = err
-		st.pos[i] = limit
-	}
-	if screened {
-		for _, ms := range wins {
-			if len(ms) > 0 {
-				rs.creditExactHit()
-				break
-			}
-		}
+		st.dead[i] = r.err
+		st.pos[i] = w.Limit()
 	}
 	var emitted int64
 	flushEmitted := func() {
@@ -258,8 +165,8 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 		rs.streamCtr.Matches += emitted
 		rs.mu.Unlock()
 	}
-	for i, ms := range wins {
-		for _, m := range ms {
+	for i, r := range res {
+		for _, m := range r.ms {
 			emitted++
 			if !emit(i, m, buf[m.Start-base:m.End-base]) {
 				flushEmitted()
@@ -268,24 +175,15 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 			}
 		}
 	}
-	flushEmitted()
+	if emitted > 0 {
+		flushEmitted()
+	}
 	if final {
 		st.done = true
-		return true, nil
+	} else {
+		// Every live rule's resume offset is at or past the owned end
+		// (ScanWindowCtx and CleanAdvance both guarantee it).
+		w.Carry(w.OwnEnd(false))
 	}
-	st.carryTail(limit)
 	return true, nil
-}
-
-// carryTail retains the shared overlap tail for the next window; every
-// rule's resume offset is at or past it (ScanWindow guarantees
-// pos >= limit-overlap).
-func (st *Stream) carryTail(limit int) {
-	carry := limit - st.overlap
-	if carry < st.base {
-		carry = st.base
-	}
-	copy(st.buf, st.buf[carry-st.base:])
-	st.buf = st.buf[:limit-carry]
-	st.base = carry
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -702,16 +703,43 @@ func TestServerSessionRestoreGarbage(t *testing.T) {
 	badVersion[0] = 99
 	badFlags := append([]byte(nil), valid...)
 	badFlags[1] = 0xFF
+	// Header defects a relay must see too (layout: core/checkpoint.go): the
+	// overlap is the u32 at [2,6), the carry length the u32 at [14,18),
+	// the rule count the u32 right after the carry.
+	carryLen := binary.BigEndian.Uint32(valid[14:18])
+	if carryLen < 2 {
+		t.Fatalf("checkpoint carries %d bytes; the carry-past-overlap row needs >= 2", carryLen)
+	}
+	hugeOverlap := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(hugeOverlap[2:6], 1<<30+1)
+	carryPastOverlap := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(carryPastOverlap[2:6], carryLen-1)
+	hugeRuleCount := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(hugeRuleCount[18+carryLen:], 1<<20+1)
 
-	for name, ckpt := range map[string][]byte{
-		"empty":         {},
-		"one-byte":      {1},
-		"junk":          []byte("this is not a checkpoint"),
-		"truncated":     truncated,
-		"bad-version":   badVersion,
-		"bad-flags":     badFlags,
-		"foreign-rules": foreign,
+	// header marks defects ahead of the per-rule records, which
+	// core.PeekCheckpoint — the gateway's view of a checkpoint it cannot
+	// restore — must reject exactly as RestoreStream does: a dedup
+	// prefix computed from a checkpoint no shard restores is wrong.
+	for name, tc := range map[string]struct {
+		ckpt   []byte
+		header bool
+	}{
+		"empty":              {[]byte{}, true},
+		"one-byte":           {[]byte{1}, true},
+		"junk":               {[]byte("this is not a checkpoint"), true},
+		"truncated":          {truncated, false},
+		"bad-version":        {badVersion, true},
+		"bad-flags":          {badFlags, true},
+		"foreign-rules":      {foreign, false},
+		"huge-overlap":       {hugeOverlap, true},
+		"carry-past-overlap": {carryPastOverlap, true},
+		"huge-rule-count":    {hugeRuleCount, true},
 	} {
+		ckpt := tc.ckpt
+		if _, perr := core.PeekCheckpoint(ckpt); tc.header && !errors.Is(perr, core.ErrBadCheckpoint) {
+			t.Fatalf("%s: PeekCheckpoint = %v, want ErrBadCheckpoint like RestoreStream", name, perr)
+		}
 		_, err := c.RestoreSessionCtx(context.Background(), ckpt)
 		if err == nil {
 			t.Fatalf("%s: garbage restore succeeded", name)

@@ -65,15 +65,16 @@ type Config struct {
 	// scanner is guaranteed to report identically to a one-shot scan.
 	// Non-positive selects DefaultOverlap.
 	Overlap int
-	// Screen, when set, is consulted once per window with the full
-	// buffered window (carry tail plus new bytes) before the finder
-	// runs. Returning false asserts the window holds no match: the
-	// window is skipped and resume positions advance exactly as a
-	// no-match scan would, so a sound screen (one that never returns
-	// false on a window containing a match) leaves results
-	// byte-identical. The admission-automaton first stage
-	// (internal/approx) plugs in here.
-	Screen func(window []byte) bool
+	// Screen, when set, brackets every window: it is handed the full
+	// buffered window (carry tail plus new bytes) and the window's
+	// search, and either runs search — which reports whether the
+	// window emitted a match — and returns true, or asserts the window
+	// holds no match by returning false without running it. The window
+	// is then skipped and the resume position advances exactly as a
+	// no-match search would, so a sound screen (one that never skips a
+	// window containing a match) leaves results byte-identical. The
+	// admission-automaton first stage (internal/approx) plugs in here.
+	Screen func(window []byte, search func() (hit bool)) (admitted bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -119,27 +120,14 @@ func New(p *isa.Program, hw arch.Config, cfg Config) (*Scanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ForCore(core, cfg), nil
-}
-
-// ForCore wraps an existing core (for engines and pools that own the
-// core's lifecycle). The scanner inherits the core's single-goroutine
-// discipline.
-func ForCore(core *arch.Core, cfg Config) *Scanner {
-	return &Scanner{f: core, cfg: cfg.withDefaults()}
+	return ForFinder(core, cfg), nil
 }
 
 // ForFinder wraps an arbitrary finder — the hook the engine layer uses
-// to scan through a policy-applying wrapper instead of a bare core.
+// to scan through a policy-applying wrapper instead of a bare core. The
+// scanner inherits the finder's single-goroutine discipline.
 func ForFinder(f Finder, cfg Config) *Scanner {
 	return &Scanner{f: f, cfg: cfg.withDefaults()}
-}
-
-// Core returns the scanner's execution core, or nil when the scanner
-// drives a wrapped finder (counters then live behind the wrapper).
-func (s *Scanner) Core() *arch.Core {
-	c, _ := s.f.(*arch.Core)
-	return c
 }
 
 // Scan consumes r to EOF, emitting every match in stream order.
@@ -156,78 +144,68 @@ func (s *Scanner) Scan(r io.Reader, emit EmitFunc) (int64, error) {
 // cancellation, an *arch.ExecError (rebased to absolute stream offsets)
 // for execution faults.
 //
-// The loop is the pull-mode driver over the same Session state machine
-// push-mode callers (the scan service's streaming sessions) use, so
-// the two paths cannot diverge: each refill is one Session window.
+// The scan is Window.Fill's pull loop over one Window and one resume
+// position: the same window machine core.Stream runs with a position
+// per rule, so the paths cannot diverge.
 func (s *Scanner) ScanCtx(ctx context.Context, r io.Reader, emit EmitFunc) (int64, error) {
+	w := NewWindow(s.cfg.Overlap, 0, nil)
+	var (
+		windows, matches int64
+		pos              int
+		final, cont      bool
+		werr             error
+	)
+	count := func(m arch.Match, text []byte) bool {
+		matches++
+		return emit(m, text)
+	}
+	// search is one window's pass through the finder; whether it runs
+	// is Screen's call, so it lives outside the loop as one closure.
+	search := func() (hit bool) {
+		before := matches
+		pos, cont, werr = ScanWindowCtx(ctx, s.f, w.Bytes(), w.Base(), final, w.Overlap(), pos, count)
+		return matches > before
+	}
+	err := w.Fill(ctx, r, s.cfg.ChunkSize, func(_ int, last bool) (bool, error) {
+		windows++
+		final, cont, werr = last, true, nil
+		if s.cfg.Screen == nil {
+			search()
+		} else if !s.cfg.Screen(w.Bytes(), search) {
+			// Proven match-free: any match a later window may report
+			// starts inside the carry tail and reappears there whole.
+			pos = w.CleanAdvance(pos, final)
+		}
+		if cont && werr == nil && !final {
+			w.Carry(pos)
+		}
+		return cont, werr
+	})
 	if s.ctr != nil {
-		inner := emit
-		emit = func(m arch.Match, text []byte) bool {
-			s.ctr.Matches++
-			return inner(m, text)
-		}
+		s.ctr.Windows += windows
+		s.ctr.Bytes += int64(w.Limit())
+		s.ctr.Matches += matches
 	}
-	sess := NewSession(s.f, s.cfg)
-	chunk := s.cfg.ChunkSize
-	final := false
-	for !final {
-		if cerr := ctx.Err(); cerr != nil {
-			return sess.Consumed(), &ReadError{Offset: sess.Consumed(), Err: cerr}
-		}
-		have := sess.Buffered()
-		n, err := io.ReadFull(r, sess.grow(chunk))
-		sess.commit(have, n)
-		if s.ctr != nil {
-			s.ctr.Bytes += int64(n)
-		}
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			final = true
-		default:
-			// Consumed is the offset of the first byte the refill could
-			// not deliver — the exact resume point.
-			return sess.Consumed(), &ReadError{Offset: sess.Consumed(), Err: err}
-		}
-		if s.ctr != nil {
-			s.ctr.Windows++
-		}
-		cont, werr := sess.scan(ctx, final, emit)
-		if werr != nil || !cont {
-			return sess.Consumed(), werr
-		}
-	}
-	return sess.Consumed(), nil
+	return int64(w.Limit()), err
 }
 
-// ScanWindow advances the one-shot FindAll resume discipline over one
-// buffered window covering stream offsets [base, base+len(buf)). pos is
-// the absolute resume offset (>= base); the updated offset is returned.
-// When final is false the window only finalises matches starting before
-// its last overlap bytes — later starts are re-searched by the caller's
-// next window, which must begin at or before the returned offset.
-// cont reports whether the scan should continue (emit returned true
-// throughout and no execution error occurred).
+// ScanWindowCtx advances the one-shot FindAll resume discipline over
+// one buffered window covering stream offsets [base, base+len(buf)),
+// with cooperative cancellation. pos is the absolute resume offset
+// (>= base); the updated offset is returned. When final is false the
+// window only finalises matches starting before its last overlap bytes
+// — later starts are re-searched by the caller's next window, which
+// must begin at or before the returned offset. cont reports whether
+// the scan should continue (emit returned true throughout and no
+// execution error occurred). Execution errors carrying a
+// window-relative offset (*arch.ExecError) are rebased to absolute
+// stream offsets before they are returned.
 //
 // The helper is shared by Scanner and by the rule-set streaming scan,
 // which runs one resume position per rule over a common window buffer.
-func ScanWindow(core *arch.Core, buf []byte, base int, final bool, overlap, pos int, emit EmitFunc) (npos int, cont bool, err error) {
-	return ScanWindowCtx(context.Background(), core, buf, base, final, overlap, pos, emit)
-}
-
-// ScanWindowCtx is ScanWindow over any finder, with cooperative
-// cancellation. Execution errors carrying a window-relative offset
-// (*arch.ExecError) are rebased to absolute stream offsets before they
-// are returned.
 func ScanWindowCtx(ctx context.Context, f Finder, buf []byte, base int, final bool, overlap, pos int, emit EmitFunc) (npos int, cont bool, err error) {
-	limit := base + len(buf)
-	ownEnd := limit
-	if !final {
-		ownEnd = limit - overlap
-		if ownEnd < base {
-			ownEnd = base
-		}
-	}
+	w := Window{buf: buf, base: base, overlap: overlap}
+	limit, ownEnd := w.Limit(), w.OwnEnd(final)
 	for pos <= limit {
 		if !final && pos >= ownEnd {
 			break
@@ -240,24 +218,13 @@ func ScanWindowCtx(ctx context.Context, f Finder, buf []byte, base int, final bo
 			}
 			return pos, false, ferr
 		}
-		if !ok {
-			// No match anywhere in the window: every owned offset is
-			// cleared (a match starting before ownEnd would have been
-			// wholly visible).
-			if pos < ownEnd {
-				pos = ownEnd
-			}
-			if final {
-				pos = limit + 1
-			}
-			break
-		}
 		start, end := base+m.Start, base+m.End
-		if !final && start >= ownEnd {
-			// Deferred: the match starts inside the carry region and is
-			// re-found (with full read-ahead) by the next window. The
-			// offsets before it hold no match start.
-			pos = ownEnd
+		if !ok || (!final && start >= ownEnd) {
+			// No match anywhere from pos on, or only a deferred one: it
+			// starts inside the carry region and is re-found (with full
+			// read-ahead) by the next window. Either way no owned offset
+			// holds a match start.
+			pos = w.CleanAdvance(pos, final)
 			break
 		}
 		keep := emit(arch.Match{Start: start, End: end}, buf[start-base:end-base])
