@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck benchmark benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck layercheck benchmark benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ race:
 ## detector (including the goroutine-leak assertions in the fault
 ## matrix), the differential battery, the seeded chaos suite, then a
 ## short fuzz pass over the differential fuzzers, plus the benchmark
-## module's own vet and tests.
-check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck
+## module's own vet and tests and the import-layering check.
+check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck layercheck
 
 ## benchcheck: the benchmark is a Go module of its own (benchmark/go.mod),
 ## so `go build ./... && go test ./...` at the root never compiles it;
@@ -29,6 +29,16 @@ check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck
 ## failed benchmark run.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+## layercheck: the import layering the design leans on. The scale-out
+## engine is the paper's §6 model and knows no skip tier — core.Engine
+## hands it one per-chunk predicate — and the simulator sits below the
+## engine glue and the serving shell.
+layercheck:
+	@! $(GO) list -deps ./internal/multicore | grep -E '^alveare/internal/(approx|automata|prefilter)$$' \
+		|| { echo "layercheck: internal/multicore must not import a skip tier"; exit 1; }
+	@! $(GO) list -deps ./internal/arch | grep -E '^alveare/internal/(core|server|gateway)(/|$$)' \
+		|| { echo "layercheck: internal/arch must not import core, server or gateway"; exit 1; }
 
 ## benchmark: the scan fleet's one benchmark (benchmark/README.md) — all
 ## five workloads, every answer checked against the oracle. BENCH_FLAGS

@@ -65,13 +65,11 @@ func WithPrefilter() Option { return core.WithPrefilter() }
 // cross-rule Aho–Corasick literal prefilter that dispatches only
 // candidate rules per window. Match offsets are byte-identical to the
 // slow path — the DFA only answers existence; on cache blowup the scan
-// falls back to the exact engine. Off by default in the library; the
-// CLI tools and scan server turn it on unless -no-dfa is given.
+// falls back to the exact engine. Off by default in the library, and
+// there is no inverse option — leave WithDFA out to scan on the exact
+// engine alone; the CLI tools and scan server turn it on unless -no-dfa
+// is given.
 func WithDFA() Option { return core.WithDFA() }
-
-// WithoutDFA disables the hybrid fast path, undoing an earlier
-// WithDFA in the option list.
-func WithoutDFA() Option { return core.WithoutDFA() }
 
 // WithDFACache bounds the lazy DFA's evictable state cache (default
 // 4096 states). Tiny caches force clear-on-full flushes and, when the
@@ -88,13 +86,10 @@ type FastStats = core.FastStats
 // multi-core chunks) and a clean verdict skips all downstream work.
 // The filter only ever proves absence — results are byte-identical
 // with or without it; on state-budget blowup it degrades to admitting
-// everything, still sound. Off by default in the library; the CLI
+// everything, still sound. Off by default in the library, with no
+// inverse option — leave WithApprox out to scan unscreened; the CLI
 // tools and scan server turn it on unless -no-approx is given.
 func WithApprox() Option { return core.WithApprox() }
-
-// WithoutApprox disables the admission stage, undoing an earlier
-// WithApprox in the option list.
-func WithoutApprox() Option { return core.WithoutApprox() }
 
 // WithApproxStates bounds the admission automaton's DFA state budget
 // (default 256, also the maximum). Smaller budgets coarsen the filter
@@ -258,8 +253,9 @@ func CompileWith(re string, opt CompilerOptions) (*Program, error) {
 
 // RuleSet is a compiled multi-pattern database, the deployment unit of
 // DPI-style workloads. Scans dispatch rules to a bounded worker pool
-// (WithWorkers) over pooled per-rule cores, so one RuleSet serves
-// concurrent Scan calls.
+// (WithWorkers) over pooled per-rule cores, and FirstMatch probes on
+// borrowed cores too, so one RuleSet serves concurrent callers of every
+// method; each rule is compiled once and no per-rule Engine exists.
 type RuleSet = core.RuleSet
 
 // RuleMatches reports one rule's hits in a scanned stream.

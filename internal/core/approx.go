@@ -10,6 +10,8 @@ package core
 // engine, so approx-on and approx-off results are byte-identical by
 // construction (the differential battery holds both paths to that).
 
+import "alveare/internal/approx"
+
 // ApproxStats counts the admission stage's behaviour. Precision is
 // ExactHitWindows / AdmittedWindows: the fraction of admitted windows
 // in which the exact engine actually found something (1.0 means the
@@ -37,11 +39,24 @@ func (s *ApproxStats) Add(o ApproxStats) {
 	s.ExactHitWindows += o.ExactHitWindows
 }
 
+// screen walks f over one unit of input — a whole buffer, one stream
+// window or one multi-core chunk — tallying the verdict in ctr, and is
+// the only place an admission filter is consulted. A clean verdict
+// (false) is a proof that no rule matches in data.
+func screen(f *approx.Filter, ctr *ApproxStats, data []byte) (admitted bool) {
+	ctr.ScreenedWindows++
+	ctr.ScreenedBytes += int64(len(data))
+	if !f.Suspect(data) {
+		return false
+	}
+	ctr.AdmittedWindows++
+	return true
+}
+
 // screened runs search — the exact engine over one unit of input, a
 // whole buffer or one stream window — behind the engine's admission
-// stage, and is the only place the stage is consulted: a clean verdict
-// is a proof of no match, so search is skipped and admitted is false;
-// an admitted unit in which search reports a hit is credited. With the
+// stage: a clean verdict skips search and admitted is false; an
+// admitted unit in which search reports a hit is credited. With the
 // stage off search just runs. The counters follow the engine's
 // single-goroutine discipline, like guard.
 func (e *Engine) screened(data []byte, search func() (hit bool)) (admitted bool) {
@@ -49,29 +64,11 @@ func (e *Engine) screened(data []byte, search func() (hit bool)) (admitted bool)
 		search()
 		return true
 	}
-	e.approxCtr.ScreenedWindows++
-	e.approxCtr.ScreenedBytes += int64(len(data))
-	if !e.admit.Suspect(data) {
+	if !screen(e.admit, &e.approxCtr, data) {
 		return false
 	}
-	e.approxCtr.AdmittedWindows++
 	if search() {
 		e.approxCtr.ExactHitWindows++
 	}
 	return true
-}
-
-// screenWindow screens one whole rule-set unit, maintaining the
-// mutex-guarded roll-up; fanOut credits ExactHitWindows once the
-// unit's matches are known.
-func (rs *RuleSet) screenWindow(buf []byte) (admitted bool) {
-	suspect := rs.admit.Suspect(buf)
-	rs.mu.Lock()
-	rs.approxCtr.ScreenedWindows++
-	rs.approxCtr.ScreenedBytes += int64(len(buf))
-	if suspect {
-		rs.approxCtr.AdmittedWindows++
-	}
-	rs.mu.Unlock()
-	return suspect
 }

@@ -159,12 +159,6 @@ func WithDFA() Option {
 	return func(s *settings) { s.dfa = true }
 }
 
-// WithoutDFA disables the hybrid fast path (the library default),
-// undoing an earlier WithDFA in the option list.
-func WithoutDFA() Option {
-	return func(s *settings) { s.dfa = false }
-}
-
 // WithDFACache bounds the lazy DFA's state cache (default
 // automata.DefaultLazyCacheStates). Tiny caches force clear-on-full
 // flushes and, when the live working set still does not fit, bail to
@@ -191,12 +185,6 @@ func WithApprox() Option {
 	return func(s *settings) { s.approx = true }
 }
 
-// WithoutApprox disables the admission stage (the library default),
-// undoing an earlier WithApprox in the option list.
-func WithoutApprox() Option {
-	return func(s *settings) { s.approx = false }
-}
-
 // WithApproxStates bounds the admission automaton's DFA state budget
 // (default approx.DefaultStates = 256, the maximum the byte-indexed
 // table supports). Smaller budgets force deeper truncation — coarser
@@ -206,15 +194,46 @@ func WithApproxStates(n int) Option {
 	return func(s *settings) { s.approxStates = n }
 }
 
+// rule is one compiled rule, everything scans of it share: the program
+// image the cores load (its Source is the pattern), the safe engine the
+// Degrade policy falls back to and, with the fast path on, the lazy-DFA
+// program gates are instantiated from. An Engine holds one beside its
+// private core and gate; a RuleSet holds one per rule beside its pools.
+type rule struct {
+	prog *Program
+	safe *safeVM
+	// lazy is nil when the fast path is off or the pattern is past the
+	// lazy-DFA bound: the rule then runs ungated — the fast path is an
+	// optimisation, never a capability change.
+	lazy *automata.LazyProg
+}
+
+func newRule(p *Program, dfa bool) rule {
+	r := rule{prog: p, safe: newSafeVM(p.Source)}
+	if dfa && p.Source != "" {
+		if lp, err := automata.CompileLazy(p.Source); err == nil {
+			r.lazy = lp
+		}
+	}
+	return r
+}
+
+// guarded wraps a core loaded with the rule in the failure policy.
+// sticky carries a stream's degraded state in; each safe-engine
+// engagement is counted in *fallbacks. A guarded finder serves one scan,
+// so sticky degradation is scoped to it.
+func (r *rule) guarded(core *arch.Core, policy Policy, sticky bool, fallbacks *int64) *guarded {
+	return &guarded{core: core, vm: r.safe, policy: policy, degraded: sticky, fallbacks: fallbacks}
+}
+
 // Engine executes one compiled RE over data streams, on a single core
 // or on the scale-out configuration.
 type Engine struct {
-	prog   *Program
+	rule
 	single *arch.Core
 	multi  *multicore.Engine
 	stream stream.Config
 	policy Policy
-	safe   *safeVM
 	// guard accumulates the engine-layer guardrail counters (Fallbacks,
 	// CancelledScans); Stats() merges them with the core's counters. It
 	// follows the engine's single-goroutine discipline.
@@ -223,10 +242,9 @@ type Engine struct {
 	// bytes consumed, matches emitted) across ScanReader calls.
 	streamCtr stream.Counters
 
-	// lazy/dfa are the hybrid fast path (WithDFA): the shareable
-	// determinisation program and this engine's private gate instance.
-	// Nil when the fast path is off or the pattern is unsupported.
-	lazy    *automata.LazyProg
+	// dfa is the engine's private gate instance (WithDFA), nil when the
+	// rule has no lazy-DFA program: it gates every probe of a
+	// single-core scan and every chunk of a multi-core one.
 	dfa     *automata.LazyDFA
 	fastCtr FastStats
 
@@ -247,10 +265,9 @@ func NewEngine(p *Program, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("core: %d cores", s.cores)
 	}
 	e := &Engine{
-		prog:   p,
+		rule:   newRule(p, s.dfa),
 		stream: stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
 		policy: s.policy,
-		safe:   newSafeVM(p.Source),
 	}
 	single, err := arch.NewCore(p, s.cfg)
 	if err != nil {
@@ -270,26 +287,14 @@ func NewEngine(p *Program, opts ...Option) (*Engine, error) {
 		}
 		e.multi = multi
 	}
-	if s.dfa && p.Source != "" {
-		// Unsupported (oversized) patterns run without the gate: the
-		// fast path is an optimisation, never a capability change.
-		if lp, lerr := automata.CompileLazy(p.Source); lerr == nil {
-			e.lazy = lp
-			e.dfa = lp.NewDFA(s.dfaCache)
-			if e.multi != nil {
-				e.multi.EnableFastGate(lp, s.dfaCache)
-			}
-		}
+	if e.lazy != nil {
+		e.dfa = e.lazy.NewDFA(s.dfaCache)
 	}
 	if s.approx && p.Source != "" {
-		f := approx.Build([]string{p.Source}, s.approxStates)
-		if !f.AdmitAll() {
-			// An admit-all filter screens nothing; leaving it out keeps
-			// the scan loops free of dead per-window walks.
+		// An admit-all filter screens nothing; leaving it out keeps the
+		// scan loops free of dead per-window walks.
+		if f := approx.Build([]string{p.Source}, s.approxStates); !f.AdmitAll() {
 			e.admit = f
-			if e.multi != nil {
-				e.multi.EnableApproxScreen(f)
-			}
 		}
 	}
 	return e, nil
@@ -313,15 +318,12 @@ func (e *Engine) ApproxStats() ApproxStats { return e.approxCtr }
 func (e *Engine) FastEnabled() bool { return e.dfa != nil }
 
 // FastStats reports the hybrid fast path's accumulated counters: gate
-// outcomes, DFA cache behaviour, and (on multi-core engines) the
-// per-chunk gates' cache counters. Zero when the fast path is off.
+// outcomes (one probe per gated chunk on multi-core runs) and DFA cache
+// behaviour. Zero when the fast path is off.
 func (e *Engine) FastStats() FastStats {
 	st := e.fastCtr
 	if e.dfa != nil {
 		st.addLazy(e.dfa.Stats())
-	}
-	if e.multi != nil {
-		st.addLazy(e.multi.FastGateStats())
 	}
 	return st
 }
@@ -337,28 +339,16 @@ func (e *Engine) Cores() int {
 	return 1
 }
 
-// guarded builds a policy-applying finder over the engine's single
-// core, crediting fallbacks to the engine's guard counters. Each call
-// returns a fresh finder so sticky degradation is scoped to one scan.
-func (e *Engine) guarded() *guarded {
-	return &guarded{
-		core:       e.single,
-		vm:         e.safe,
-		policy:     e.policy,
-		onFallback: func() { e.guard.Fallbacks++ },
-	}
-}
-
-// finder builds the per-scan finder: the policy-applying guarded
-// engine, wrapped by the lazy-DFA gate when the fast path is enabled.
-// Gate stickiness (a cache bail disabling the gate) is scoped to one
-// scan, like the guarded finder's sticky degradation.
-func (e *Engine) finder() stream.Finder {
-	g := e.guarded()
+// finders builds the per-scan pair over the engine's single core: the
+// policy-applying guarded finder and, when the fast path is on, the gate
+// in front of it (nil otherwise). Sticky degradation and gate
+// stickiness (a cache bail disabling the gate) are scoped to one scan.
+func (e *Engine) finders() (*guarded, *fastFinder) {
+	g := e.guarded(e.single, e.policy, false, &e.guard.Fallbacks)
 	if e.dfa == nil {
-		return g
+		return g, nil
 	}
-	return &fastFinder{dfa: e.dfa, slow: g, st: &e.fastCtr}
+	return g, &fastFinder{dfa: e.dfa, slow: g, st: &e.fastCtr}
 }
 
 // fail folds err into the ScanError taxonomy (rule -1: single-pattern
@@ -382,7 +372,7 @@ func (e *Engine) Find(data []byte) (Match, bool, error) {
 // between match attempts and every few thousand simulated cycles.
 func (e *Engine) FindCtx(ctx context.Context, data []byte) (m Match, ok bool, err error) {
 	e.screened(data, func() bool {
-		m, ok, err = e.finder().FindFromCtx(ctx, data, 0)
+		m, ok, err = probeFinder(e.finders()).FindFromCtx(ctx, data, 0)
 		return ok
 	})
 	return m, ok, e.fail(err)
@@ -413,9 +403,6 @@ func (e *Engine) FindAll(data []byte) ([]Match, error) {
 // completed before it together with a *ScanError.
 func (e *Engine) FindAllCtx(ctx context.Context, data []byte) ([]Match, error) {
 	if e.multi != nil {
-		// Multi-core runs screen chunk by chunk inside the scale-out
-		// engine (EnableApproxScreen); runMultiCtx folds the per-chunk
-		// admission counters back into approxCtr.
 		res, err := e.runMultiCtx(ctx, data)
 		return res.Matches, err
 	}
@@ -425,17 +412,11 @@ func (e *Engine) FindAllCtx(ctx context.Context, data []byte) ([]Match, error) {
 
 // findAllSingle runs the one-shot FindAll discipline on the single
 // core behind the admission stage (admitted is false when it proved
-// data clean): through the DFA gate when the fast path is on, straight
-// through the resilient policy loop otherwise. Both paths apply the
-// same failure policy (it lives in the guarded finder) and return
-// byte-identical matches.
+// data clean).
 func (e *Engine) findAllSingle(ctx context.Context, data []byte) (ms []Match, admitted bool, err error) {
 	admitted = e.screened(data, func() bool {
-		if e.dfa != nil {
-			ms, err = findAllWith(ctx, e.finder(), data, 0)
-		} else {
-			ms, err = resilientFindAll(ctx, e.single, e.safe, e.policy, data, func() { e.guard.Fallbacks++ })
-		}
+		g, gate := e.finders()
+		ms, err = findAll(ctx, g, gate, data)
 		return len(ms) > 0
 	})
 	return ms, admitted, err
@@ -478,7 +459,7 @@ func (e *Engine) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(m Mat
 		// the finder.
 		cfg.Screen = e.screened
 	}
-	sc := stream.ForFinder(e.finder(), cfg)
+	sc := stream.ForFinder(probeFinder(e.finders()), cfg)
 	sc.SetCounters(&e.streamCtr)
 	n, err := sc.ScanCtx(ctx, r, stream.EmitFunc(emit))
 	return n, e.fail(err)
@@ -519,12 +500,24 @@ func (e *Engine) CountReaderCtx(ctx context.Context, r io.Reader) (int, error) {
 // Contained chunks stay listed in Result.Failed for observability even
 // when the returned error is nil.
 func (e *Engine) runMultiCtx(ctx context.Context, data []byte) (multicore.Result, error) {
-	res, err := e.multi.RunCtx(ctx, data)
+	// The cores run ungated — per-probe gating would move their
+	// simulated cycles — so the skip tiers judge each chunk whole.
+	_, gate := e.finders()
+	res, err := e.multi.RunCtx(ctx, data, func(window []byte) bool {
+		if e.admit != nil && !screen(e.admit, &e.approxCtr, window) {
+			return false
+		}
+		if gate == nil {
+			return true
+		}
+		// A gate bail or cancellation falls through: the core applies
+		// its own ctx/fault handling, so error chains are identical to
+		// the ungated path.
+		absent, _ := gate.absent(ctx, window, 0)
+		return !absent
+	})
 	if e.admit != nil {
-		e.approxCtr.ScreenedWindows += int64(res.Chunks)
-		e.approxCtr.ScreenedBytes += int64(len(data))
-		e.approxCtr.AdmittedWindows += int64(res.Chunks - res.ApproxSkips)
-		e.approxCtr.ExactHitWindows += int64(res.ApproxHits)
+		e.approxCtr.ExactHitWindows += int64(res.Hits)
 	}
 	if err == nil {
 		return res, nil
@@ -612,8 +605,5 @@ func (e *Engine) ResetStats() {
 	e.approxCtr = ApproxStats{}
 	if e.dfa != nil {
 		e.dfa.TakeStats()
-	}
-	if e.multi != nil {
-		e.multi.TakeFastGateStats()
 	}
 }

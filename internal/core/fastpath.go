@@ -93,36 +93,71 @@ type fastFinder struct {
 	dead bool
 }
 
-func (f *fastFinder) FindFromCtx(ctx context.Context, data []byte, from int) (arch.Match, bool, error) {
+// absent consults the gate for one probe and is the only place it is
+// asked: true means the DFA proved no match starts at or after from, so
+// the exact engine need not run. A bail turns the finder sticky-slow and
+// reads as "cannot tell"; any other error is the caller's cancellation.
+func (f *fastFinder) absent(ctx context.Context, data []byte, from int) (bool, error) {
 	if f.dead {
 		f.st.FallbackProbes++
-		return f.slow.FindFromCtx(ctx, data, from)
+		return false, nil
 	}
 	f.st.Probes++
 	_, found, err := f.dfa.FirstAcceptCtx(ctx, data, from)
+	switch {
+	case errors.Is(err, automata.ErrDFABail):
+		f.dead = true
+		return false, nil
+	case err != nil:
+		return false, err
+	case !found:
+		f.st.Negatives++
+		return true, nil
+	}
+	f.st.Confirms++
+	return false, nil
+}
+
+func (f *fastFinder) FindFromCtx(ctx context.Context, data []byte, from int) (arch.Match, bool, error) {
+	absent, err := f.absent(ctx, data, from)
 	if err != nil {
-		if errors.Is(err, automata.ErrDFABail) {
-			f.dead = true
-			return f.slow.FindFromCtx(ctx, data, from)
-		}
 		// Cancellation: surface it exactly as the core does, an
 		// ExecError at the probe's origin, so error chains match the
 		// slow path (stream.ScanWindowCtx rebases the offset).
 		return arch.Match{}, false, &arch.ExecError{Offset: from, Err: err}
 	}
-	if !found {
-		f.st.Negatives++
+	if absent {
 		return arch.Match{}, false, nil
 	}
-	f.st.Confirms++
 	return f.slow.FindFromCtx(ctx, data, from)
+}
+
+// probeFinder picks the probe-level finder of a per-scan pair: the gate
+// when the rule has one, the guarded core otherwise.
+func probeFinder(g *guarded, gate *fastFinder) stream.Finder {
+	if gate != nil {
+		return gate
+	}
+	return g
+}
+
+// findAll runs the one-shot FindAll discipline over a per-scan pair.
+// Both legs apply the same failure policy (it lives in the guarded
+// finder) and return byte-identical matches.
+func findAll(ctx context.Context, g *guarded, gate *fastFinder, data []byte) ([]Match, error) {
+	if gate != nil {
+		return findAllWith(ctx, gate, data, 0)
+	}
+	// Ungated, the core's own FindAll loop runs: probing it one
+	// FindFrom at a time would change the simulated cycle count.
+	return g.findAll(ctx, data)
 }
 
 // findAllWith runs the one-shot FindAll resume discipline through an
 // arbitrary finder, collecting every match that starts at or after
-// from — the fast path's counterpart of resilientFindAll (the policy
-// lives inside the wrapped guarded finder) and the safe engine's
-// whole-scan loop.
+// from — the gated counterpart of guarded.findAll (the policy lives
+// inside the wrapped guarded finder) and the safe engine's whole-scan
+// loop.
 func findAllWith(ctx context.Context, f stream.Finder, data []byte, from int) ([]Match, error) {
 	var out []Match
 	pos := from

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"alveare/internal/backend"
+	"alveare/internal/multicore"
 )
 
 func fastCorpus(t *testing.T) []byte {
@@ -90,12 +91,59 @@ func TestEngineFastPathMultiCore(t *testing.T) {
 	if err1 != nil || err2 != nil || !sameMatches(want, got) || len(got) != 1 {
 		t.Fatalf("multicore diverged: %v/%v, %d vs %d", err1, err2, len(want), len(got))
 	}
+	fast.ResetStats()
 	res, err := fast.Run(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FastSkips == 0 {
-		t.Fatalf("no chunk skips on mostly-hay input: %+v", res)
+	// One probe per gated chunk; a negative is a chunk never simulated.
+	fs := fast.FastStats()
+	if fs.Probes != int64(res.Chunks) || fs.Negatives == 0 || fs.Negatives != idleCores(res) {
+		t.Fatalf("chunk gate accounting on mostly-hay input: %+v over %d chunks, %d idle", fs, res.Chunks, idleCores(res))
+	}
+}
+
+// idleCores counts the chunks of a multi-core run no core simulated.
+func idleCores(res multicore.Result) (n int64) {
+	for _, st := range res.PerCore {
+		if st.Cycles == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// The approx twin: every chunk is screened over the bytes it actually
+// walks (its extended window), and screened − admitted is exactly the
+// chunks never simulated.
+func TestEngineApproxMultiCore(t *testing.T) {
+	p, err := Compile(`needle[0-9]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("hay "), 64*1024)
+	copy(data[100:], "needle7")
+	const cores, overlap = 4, 64
+	eng, err := NewEngine(p, WithCores(cores), WithOverlap(overlap), WithApprox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.ApproxEnabled() {
+		t.Fatal("admission stage not enabled")
+	}
+	res, err := eng.Run(data)
+	if err != nil || len(res.Matches) != 1 {
+		t.Fatalf("run: %d matches, err %v", len(res.Matches), err)
+	}
+	as := eng.ApproxStats()
+	if as.ScreenedWindows != cores || as.ScreenedWindows-as.AdmittedWindows != idleCores(res) || idleCores(res) == 0 {
+		t.Fatalf("chunk screen accounting: %+v, %d idle", as, idleCores(res))
+	}
+	if want := int64(len(data) + (cores-1)*overlap); as.ScreenedBytes != want {
+		t.Fatalf("ScreenedBytes = %d, want the %d bytes the chunks walked", as.ScreenedBytes, want)
+	}
+	if as.ExactHitWindows != 1 {
+		t.Fatalf("ExactHitWindows = %d, want 1", as.ExactHitWindows)
 	}
 }
 
@@ -245,4 +293,3 @@ func sameMatches(a, b []Match) bool {
 	}
 	return true
 }
-

@@ -12,7 +12,6 @@ import (
 	"alveare/internal/arch"
 	"alveare/internal/automata"
 	"alveare/internal/backend"
-	"alveare/internal/isa"
 	"alveare/internal/prefilter"
 	"alveare/internal/stream"
 )
@@ -22,24 +21,18 @@ import (
 // same stream. Rules are dispatched to a bounded worker pool (the
 // multi-core ALVEARE parallelises over data; a rule set parallelises
 // over rules, as the paper's per-RE evaluation runs one RE per loaded
-// core). Scanning cores are recycled through per-rule pools, so a
-// RuleSet is safe for concurrent Scan calls from multiple goroutines.
+// core). Each rule is compiled once; scanning cores and gates are
+// recycled through per-rule pools, so every method of a RuleSet is safe
+// for concurrent calls from multiple goroutines.
 type RuleSet struct {
-	patterns []string
-	progs    []*isa.Program
-	engines  []*Engine
-	cfg      arch.Config
-	workers  int
-	stream   stream.Config
-	policy   Policy
+	rules   []rule
+	cfg     arch.Config
+	workers int
+	stream  stream.Config
+	policy  Policy
 
-	// safes hold one lazily-compiled safe-engine fallback per rule,
-	// engaged by the Degrade policy; safeVM serialises itself, so the
-	// slice is shared across concurrent scans.
-	safes []*safeVM
-
-	// pools hold per-rule scanning cores; Get yields a Reset core whose
-	// speculation-stack arenas survive recycling (arch.Core.Reset). A
+	// pools hold per-rule scanning cores; a borrowed core is Reset, its
+	// speculation-stack arenas surviving recycling (arch.Core.Reset). A
 	// core whose scan panicked is abandoned, never pooled again.
 	pools []sync.Pool
 
@@ -48,26 +41,24 @@ type RuleSet struct {
 	// concurrent use.
 	tracer arch.Tracer
 
-	// Hybrid fast path (WithDFA): one shareable lazy-DFA program per
-	// supported rule with pooled gate instances, plus the cross-rule
-	// Aho–Corasick literal dispatcher built from the compiled programs'
-	// prefilter hints. pf is nil when the fast path is off or the
-	// literal trie was too large — every rule then dispatches.
+	// Hybrid fast path (WithDFA): pooled gate instances of each rule's
+	// lazy-DFA program, plus the cross-rule Aho–Corasick literal
+	// dispatcher built from the compiled programs' prefilter hints. pf
+	// is nil when the fast path is off or the literal trie was too
+	// large — every rule then dispatches.
 	useDFA   bool
 	dfaCache int
-	lazy     []*automata.LazyProg
 	dfaPools []sync.Pool
 	pf       *prefilter.Set
 	bitsPool sync.Pool
 
-	// Admission stage (WithApprox): one over-approximating automaton
-	// for the union of every rule, screening whole inputs (ScanCtx)
-	// and whole windows (Stream) before the prefilter and the rule
-	// fan-out. admit is nil when the stage is off; it is kept even
-	// when the build degraded to admit-all so metrics can report the
-	// degradation, but screening is skipped then (admit.AdmitAll()).
-	useApprox bool
-	admit     *approx.Filter
+	// admit is the admission stage (WithApprox): one over-approximating
+	// automaton for the union of every rule, screening whole inputs
+	// (ScanCtx, FirstMatchCtx) and whole windows (Stream) before the
+	// prefilter and the rule fan-out. Nil when the stage is off; kept
+	// even when the build degraded to admit-all so metrics can report
+	// the degradation, but screening is skipped then (screening()).
+	admit *approx.Filter
 
 	mu         sync.Mutex   // guards the roll-ups below
 	agg        arch.Stats   // aggregate across all rules and scans
@@ -79,81 +70,51 @@ type RuleSet struct {
 	approxCtr  ApproxStats // admission-stage roll-up
 }
 
-// NewRuleSet compiles every pattern with the given compiler options and
-// builds one engine per rule.
+// NewRuleSet compiles every pattern with the given compiler options
+// into one rule each; scanning cores and gates are instantiated on
+// demand into per-rule pools.
 func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleSet, error) {
 	s := settings{cores: 1, cfg: arch.DefaultConfig()}
 	for _, o := range opts {
 		o(&s)
 	}
+	n := len(patterns)
 	rs := &RuleSet{
-		patterns: append([]string(nil), patterns...),
+		rules:    make([]rule, n),
 		cfg:      s.cfg,
 		workers:  s.workers,
 		stream:   stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
 		policy:   s.policy,
 		tracer:   s.tracer,
-		perRule:  make([]arch.Stats, len(patterns)),
-	}
-	for _, re := range rs.patterns {
-		rs.safes = append(rs.safes, newSafeVM(re))
+		pools:    make([]sync.Pool, n),
+		useDFA:   s.dfa,
+		dfaCache: s.dfaCache,
+		perRule:  make([]arch.Stats, n),
 	}
 	for i, re := range patterns {
 		p, err := CompileWith(re, copt)
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %d %q: %w", i, re, err)
 		}
-		eng, err := NewEngine(p, opts...)
-		if err != nil {
-			return nil, err
-		}
-		rs.progs = append(rs.progs, p)
-		rs.engines = append(rs.engines, eng)
-	}
-	rs.pools = make([]sync.Pool, len(rs.progs))
-	for i := range rs.pools {
-		prog := rs.progs[i]
-		rs.pools[i].New = func() any {
-			// The program passed validation when its engine was built,
-			// so NewCore cannot fail here.
-			c, err := arch.NewCore(prog, rs.cfg)
-			if err != nil {
-				return nil
-			}
-			return c
-		}
+		rs.rules[i] = newRule(p, s.dfa)
 	}
 	if s.dfa {
-		rs.useDFA = true
-		rs.dfaCache = s.dfaCache
-		rs.lazy = make([]*automata.LazyProg, len(rs.patterns))
-		rs.dfaPools = make([]sync.Pool, len(rs.patterns))
-		for i, re := range rs.patterns {
-			// A rule the lazy DFA cannot gate (oversized NFA) scans the
-			// slow exact path; the fast path never changes capability.
-			if lp, lerr := automata.CompileLazy(re); lerr == nil {
-				rs.lazy[i] = lp
-			}
-		}
+		rs.dfaPools = make([]sync.Pool, n)
 		var lits []prefilter.Literal
-		for i, p := range rs.progs {
-			if p.Hint != nil && len(p.Hint.Literal) >= 2 {
-				lits = append(lits, prefilter.Literal{Rule: i, Bytes: p.Hint.Literal})
+		for i, r := range rs.rules {
+			if h := r.prog.Hint; h != nil && len(h.Literal) >= 2 {
+				lits = append(lits, prefilter.Literal{Rule: i, Bytes: h.Literal})
 			}
 		}
 		// A trie past the node bound just disables cross-rule dispatch
 		// (pf == nil dispatches everything); the DFA gates still apply.
-		if pf, perr := prefilter.NewSet(len(rs.patterns), lits); perr == nil {
+		if pf, perr := prefilter.NewSet(n, lits); perr == nil {
 			rs.pf = pf
 		}
-		rs.bitsPool.New = func() any { return prefilter.NewBits(len(rs.patterns)) }
+		rs.bitsPool.New = func() any { return prefilter.NewBits(n) }
 	}
 	if s.approx {
-		rs.useApprox = true
-		// One filter for the union of every rule: a clean window skips
-		// the whole fan-out. The filter is kept even when the build
-		// degraded to admit-all so metrics can report the degradation.
-		rs.admit = approx.Build(rs.patterns, s.approxStates)
+		rs.admit = approx.Build(patterns, s.approxStates)
 	}
 	return rs, nil
 }
@@ -161,7 +122,7 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 // ApproxEnabled reports whether the admission stage (WithApprox) is
 // active on this rule set (true even when the filter degraded to
 // admit-all — see ApproxFilter().AdmitAll()).
-func (rs *RuleSet) ApproxEnabled() bool { return rs.useApprox }
+func (rs *RuleSet) ApproxEnabled() bool { return rs.admit != nil }
 
 // ApproxFilter returns the rule set's admission filter, nil when off.
 func (rs *RuleSet) ApproxFilter() *approx.Filter { return rs.admit }
@@ -209,13 +170,14 @@ func (rs *RuleSet) FastStats() FastStats {
 // getDFA borrows rule i's pooled lazy-DFA gate, or nil when the rule
 // has no gate (fast path off or unsupported pattern).
 func (rs *RuleSet) getDFA(i int) *automata.LazyDFA {
-	if !rs.useDFA || rs.lazy[i] == nil {
+	lazy := rs.rules[i].lazy
+	if lazy == nil {
 		return nil
 	}
 	if d, ok := rs.dfaPools[i].Get().(*automata.LazyDFA); ok && d != nil {
 		return d
 	}
-	return rs.lazy[i].NewDFA(rs.dfaCache)
+	return lazy.NewDFA(rs.dfaCache)
 }
 
 // putDFA returns a borrowed gate, folding its cache counters and the
@@ -226,6 +188,17 @@ func (rs *RuleSet) putDFA(i int, d *automata.LazyDFA, fst *FastStats) {
 	rs.fast.Add(*fst)
 	rs.mu.Unlock()
 	rs.dfaPools[i].Put(d)
+}
+
+// tiers runs the rule set's skip tiers over one unit of input, in their
+// one order: the approx screen, tallied in as — a clean verdict proves
+// no rule matches, admitted is false and nothing else runs — then the
+// cross-rule prefilter's candidate mask (see candidates).
+func (rs *RuleSet) tiers(data []byte, as *ApproxStats) (cand prefilter.Bits, admitted bool) {
+	if rs.screening() && !screen(rs.admit, as, data) {
+		return nil, false
+	}
+	return rs.candidates(data), true
 }
 
 // candidates runs the cross-rule prefilter over one input window,
@@ -247,13 +220,10 @@ func (rs *RuleSet) putBits(bits prefilter.Bits) {
 }
 
 // Len returns the number of rules.
-func (rs *RuleSet) Len() int { return len(rs.engines) }
+func (rs *RuleSet) Len() int { return len(rs.rules) }
 
 // Pattern returns the i-th rule's source.
-func (rs *RuleSet) Pattern(i int) string { return rs.patterns[i] }
-
-// Engine returns the i-th rule's engine.
-func (rs *RuleSet) Engine(i int) *Engine { return rs.engines[i] }
+func (rs *RuleSet) Pattern(i int) string { return rs.rules[i].prog.Source }
 
 // Workers returns the scan concurrency bound (0 means GOMAXPROCS).
 func (rs *RuleSet) Workers() int { return rs.workers }
@@ -276,7 +246,7 @@ func (rs *RuleSet) getCore(i int) (*arch.Core, error) {
 		c.SetTracer(rs.tracer)
 		return c, nil
 	}
-	c, err := arch.NewCore(rs.progs[i], rs.cfg)
+	c, err := arch.NewCore(rs.rules[i].prog, rs.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +257,11 @@ func (rs *RuleSet) getCore(i int) (*arch.Core, error) {
 // merge folds one fan-out's telemetry into the roll-ups under one lock:
 // per[i] is each scanned rule's counters for this batch, occ[w] each
 // worker slot's completed-job count, sent and skipped the rules the
-// prefilter dispatched and withheld, and hit whether an admitted unit
-// produced exact matches. Window throughput (when the batch was one
-// stream window of nr bytes) rides along so every early return inside
-// the scan loops leaves the roll-ups consistent.
-func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent, skipped int64, hit bool, windows, nr int64) {
+// prefilter dispatched and withheld, and as the admission stage's tally
+// for the unit. Window throughput (when the batch was one stream window
+// of nr bytes) rides along so every early return inside the scan loops
+// leaves the roll-ups consistent.
+func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent, skipped int64, as ApproxStats, windows, nr int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for i := range per {
@@ -309,9 +279,7 @@ func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent, skipped int64, hit
 		rs.fast.PrefilterPasses += sent
 		rs.fast.PrefilterSkips += skipped
 	}
-	if hit {
-		rs.approxCtr.ExactHitWindows++
-	}
+	rs.approxCtr.Add(as)
 	rs.streamCtr.Windows += windows
 	rs.streamCtr.Bytes += nr
 }
@@ -340,15 +308,13 @@ type ruleResult struct {
 	err error
 }
 
-// fanOut runs rs's tier chain over one unit of input — a whole Scan
-// input or one stream window of nr new bytes — and is the only place
-// the tiers are ordered: the approx screen (a clean verdict proves no
-// rule matches, so nothing else runs), the cross-rule prefilter's
-// candidate mask (a rule whose necessary literal is absent cannot match
-// and is never dispatched), the worker fan-out of the remaining rules
-// through run, and the telemetry roll-up. Workers are sized from the
-// jobs actually dispatched, so a unit whose every rule was withheld
-// spawns nothing; it and a screened-out unit return nil.
+// fanOut runs one unit of input — a whole Scan input or one stream
+// window of nr new bytes — through rs's skip tiers (tiers: a rule whose
+// necessary literal is absent cannot match and is never dispatched),
+// the worker fan-out of the remaining rules through run, and the
+// telemetry roll-up. Workers are sized from the jobs actually
+// dispatched, so a unit whose every rule was withheld spawns nothing;
+// it and a screened-out unit return nil.
 //
 // s is the caller's own state, handed back to its callbacks. retired
 // (nil for none) marks rules that take no part; clean (nil when the
@@ -363,17 +329,17 @@ func fanOut[S any](ctx context.Context, rs *RuleSet, s S, data []byte, windows, 
 	clean func(S, int), run func(S, context.Context, int, []byte, *arch.Stats) ([]Match, error)) []ruleResult {
 	n := rs.Len()
 	live := func(i int) bool { return retired == nil || retired[i] == nil }
-	screened := rs.screening()
-	if screened && !rs.screenWindow(data) {
+	var as ApproxStats
+	cand, admitted := rs.tiers(data, &as)
+	if !admitted {
 		for i := 0; i < n; i++ {
 			if clean != nil && live(i) {
 				clean(s, i)
 			}
 		}
-		rs.merge(nil, nil, 0, 0, false, windows, nr)
+		rs.merge(nil, nil, 0, 0, as, windows, nr)
 		return nil
 	}
-	cand := rs.candidates(data)
 	defer rs.putBits(cand)
 	dispatch := func(i int) bool { return live(i) && (cand == nil || cand.Has(i)) }
 	var sent, skipped int
@@ -389,7 +355,7 @@ func fanOut[S any](ctx context.Context, rs *RuleSet, s S, data []byte, windows, 
 		}
 	}
 	if sent == 0 {
-		rs.merge(nil, nil, 0, int64(skipped), false, windows, nr)
+		rs.merge(nil, nil, 0, int64(skipped), as, windows, nr)
 		return nil
 	}
 
@@ -417,11 +383,15 @@ func fanOut[S any](ctx context.Context, rs *RuleSet, s S, data []byte, windows, 
 	close(jobs)
 	wg.Wait()
 
-	hit := false
 	for _, r := range res {
-		hit = hit || (screened && len(r.ms) > 0)
+		if len(r.ms) > 0 {
+			// An exact hit is credited to a screened unit only (the
+			// admitted tally is 1 then, 0 with the stage off).
+			as.ExactHitWindows = as.AdmittedWindows
+			break
+		}
 	}
-	rs.merge(per, occ, int64(sent), int64(skipped), hit, windows, nr)
+	rs.merge(per, occ, int64(sent), int64(skipped), as, windows, nr)
 	return res
 }
 
@@ -447,14 +417,10 @@ func (rs *RuleSet) withRule(i int, from int64, sticky bool, st *arch.Stats, sear
 	if cerr != nil {
 		return nil, sticky, scanErrFor(i, cerr)
 	}
-	var fallbacks int64
-	g := &guarded{
-		core:       core,
-		vm:         rs.safes[i],
-		policy:     rs.policy,
-		degraded:   sticky,
-		onFallback: func() { fallbacks++ },
-	}
+	// Fallbacks tally in the caller's slot, so no counter is allocated
+	// per borrow; the core's own counters are folded over it below.
+	st.Fallbacks = 0
+	g := rs.rules[i].guarded(core, rs.policy, sticky, &st.Fallbacks)
 	var serr error
 	if dfa := rs.getDFA(i); dfa != nil {
 		// Gate stickiness (a cache bail) is scoped to this borrow; the
@@ -465,6 +431,7 @@ func (rs *RuleSet) withRule(i int, from int64, sticky bool, st *arch.Stats, sear
 	} else {
 		ms, serr = search(g, nil)
 	}
+	fallbacks := st.Fallbacks
 	*st = core.Stats()
 	st.Fallbacks += fallbacks
 	rs.pools[i].Put(core)
@@ -475,12 +442,7 @@ func (rs *RuleSet) withRule(i int, from int64, sticky bool, st *arch.Stats, sear
 // one-shot FindAll discipline over the whole input.
 func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte, st *arch.Stats) ([]Match, error) {
 	ms, _, err := rs.withRule(i, -1, false, st, func(g *guarded, gate *fastFinder) ([]Match, error) {
-		if gate != nil {
-			return findAllWith(ctx, gate, data, 0)
-		}
-		// Ungated, the core's own FindAll loop runs: probing it one
-		// FindFrom at a time would change the simulated cycle count.
-		return resilientFindAll(ctx, g.core, g.vm, g.policy, data, g.onFallback)
+		return findAll(ctx, g, gate, data)
 	})
 	return ms, err
 }
@@ -584,24 +546,50 @@ func (rs *RuleSet) FirstMatch(data []byte) (rule int, ok bool, err error) {
 	return rs.FirstMatchCtx(context.Background(), data)
 }
 
-// FirstMatchCtx is FirstMatch with cooperative cancellation. Rules are
-// probed in order; under Degrade and Skip a faulting rule is passed
-// over (its error is returned, joined, only when no later rule
-// matches), under FailFast the first fault aborts the probe.
+// FirstMatchCtx is FirstMatch with cooperative cancellation. Behind the
+// same screen and candidate mask as a scan, rules are probed in order
+// on the caller's goroutine, each on a borrowed core (so concurrent
+// calls share nothing); under Degrade and Skip a faulting rule is
+// passed over (its error is returned, joined, only when no later rule
+// matches), under FailFast the first fault aborts the probe. The
+// roll-ups count the caller as worker slot 0.
 func (rs *RuleSet) FirstMatchCtx(ctx context.Context, data []byte) (rule int, ok bool, err error) {
+	var as ApproxStats
+	cand, admitted := rs.tiers(data, &as)
+	if !admitted {
+		rs.merge(nil, nil, 0, 0, as, 0, 0)
+		return 0, false, nil
+	}
+	defer rs.putBits(cand)
+	per := make([]arch.Stats, rs.Len())
+	var probed, skipped int64
+	defer func() { rs.merge(per, []int64{probed}, probed, skipped, as, 0, 0) }()
 	var deferred []error
-	for i, eng := range rs.engines {
-		hit, merr := eng.MatchCtx(ctx, data)
-		if merr != nil {
-			merr = scanErrFor(i, merr)
-			if isCancel(merr) || rs.policy == FailFast {
-				return 0, false, merr
-			}
-			deferred = append(deferred, merr)
+	for i := range rs.rules {
+		if cand != nil && !cand.Has(i) {
+			skipped++
 			continue
 		}
-		if hit {
+		probed++
+		ms, _, rerr := rs.withRule(i, -1, false, &per[i], func(g *guarded, gate *fastFinder) ([]Match, error) {
+			m, hit, err := probeFinder(g, gate).FindFromCtx(ctx, data, 0)
+			if !hit {
+				return nil, err
+			}
+			return []Match{m}, err
+		})
+		switch {
+		case rerr == nil && len(ms) > 0:
+			as.ExactHitWindows = as.AdmittedWindows
 			return i, true, nil
+		case rerr == nil:
+		case isCancel(rerr):
+			rs.noteCancel()
+			return 0, false, rerr
+		case rs.policy == FailFast:
+			return 0, false, rerr
+		default:
+			deferred = append(deferred, rerr)
 		}
 	}
 	return 0, false, errors.Join(deferred...)
@@ -653,20 +641,10 @@ func (rs *RuleSet) ResetStats() {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.agg = arch.Stats{}
-	rs.perRule = make([]arch.Stats, len(rs.patterns))
+	rs.perRule = make([]arch.Stats, len(rs.rules))
 	rs.occ = nil
 	rs.dispatched = 0
 	rs.streamCtr = stream.Counters{}
 	rs.fast = FastStats{}
 	rs.approxCtr = ApproxStats{}
-}
-
-// TotalCycles sums the scan-pool aggregate and the per-rule engines'
-// single-core counters (the engines serve Find-style probes).
-func (rs *RuleSet) TotalCycles() int64 {
-	total := rs.Stats().Cycles
-	for _, eng := range rs.engines {
-		total += eng.Stats().Cycles
-	}
-	return total
 }

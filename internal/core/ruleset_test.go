@@ -168,6 +168,53 @@ func TestRuleSetParallelCallers(t *testing.T) {
 	}
 }
 
+// TestRuleSetFirstMatchConcurrent: FirstMatch is part of the RuleSet's
+// safe-for-concurrent-use contract, so callers on several goroutines
+// must each see the lowest matching rule (run under -race: every probe
+// borrows its own core and gate, nothing is shared between callers).
+func TestRuleSetFirstMatchConcurrent(t *testing.T) {
+	rules := testRules()
+	rs, err := NewRuleSet(rules, backend.Options{}, WithDFA(), WithApprox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := [][]byte{[]byte("zzz zzz zzz")} // no rule matches
+	wants := []int{-1}
+	for i := 0; i < 6; i++ {
+		in := testTraffic(int64(200+i), 6000)
+		want := -1
+		if hits := scanSerialReference(t, rules, in); len(hits) > 0 {
+			want = hits[0].Rule
+		}
+		inputs, wants = append(inputs, in), append(wants, want)
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				for i, in := range inputs {
+					rule, ok, err := rs.FirstMatch(in)
+					if !ok {
+						rule = -1
+					}
+					if err != nil || rule != wants[i] {
+						errCh <- fmt.Errorf("input %d: FirstMatch = %d/%v, want rule %d", i, rule, err, wants[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+}
+
 // TestRuleSetScanReader checks the streaming rule-set scan against the
 // in-memory batch scan (overlaps are sized over every rule's longest
 // match, so the chunked results must be identical).

@@ -70,11 +70,11 @@ func (s *safeVM) FindFromCtx(ctx context.Context, data []byte, from int) (arch.M
 // probes run straight on the safe engine, so a degraded window does not
 // re-pay the runaway budget on every probe.
 type guarded struct {
-	core       *arch.Core
-	vm         *safeVM
-	policy     Policy
-	onFallback func()
-	degraded   bool
+	core      *arch.Core
+	vm        *safeVM
+	policy    Policy
+	fallbacks *int64 // safe-engine engagements, counted for the owner
+	degraded  bool
 }
 
 func (g *guarded) FindFromCtx(ctx context.Context, data []byte, from int) (arch.Match, bool, error) {
@@ -90,11 +90,9 @@ func (g *guarded) FindFromCtx(ctx context.Context, data []byte, from int) (arch.
 			return m, ok, err
 		}
 		off := failOffset(err, from)
-		if g.policy == Degrade && g.vm != nil && g.vm.available() {
+		if g.policy == Degrade && g.vm.available() {
 			g.degraded = true
-			if g.onFallback != nil {
-				g.onFallback()
-			}
+			*g.fallbacks++
 			// Resume on the safe engine from the probe's own origin: the
 			// offsets the core cleared before the fault hold no match, so
 			// re-examining them is redundant but never wrong.
@@ -109,30 +107,27 @@ func (g *guarded) FindFromCtx(ctx context.Context, data []byte, from int) (arch.
 	}
 }
 
-// resilientFindAll runs the one-shot FindAll discipline on core with
-// the policy applied: FailFast propagates the first fault, Degrade
+// findAll runs the one-shot FindAll discipline on the core's own loop
+// with the policy applied: FailFast propagates the first fault, Degrade
 // hands the remainder of the scan to the safe engine, Skip resumes past
 // each poisoned attempt offset (each resume re-arms the cycle budget).
-// onFallback is invoked once per safe-engine engagement.
-func resilientFindAll(ctx context.Context, core *arch.Core, vm *safeVM, policy Policy, data []byte, onFallback func()) ([]Match, error) {
-	ms, err := core.FindAllFromCtx(ctx, data, 0, 0)
+func (g *guarded) findAll(ctx context.Context, data []byte) ([]Match, error) {
+	ms, err := g.core.FindAllFromCtx(ctx, data, 0, 0)
 	for err != nil {
-		if policy == FailFast || !recoverable(err) {
+		if g.policy == FailFast || !recoverable(err) {
 			return ms, err
 		}
 		off := failOffset(err, len(data))
-		if policy == Degrade && vm != nil && vm.available() {
-			if onFallback != nil {
-				onFallback()
-			}
+		if g.policy == Degrade && g.vm.available() {
+			*g.fallbacks++
 			// The failing attempt's offset is the exact resume point: every
 			// earlier offset was either matched or cleared by the core, and
 			// the two engines agree on the supported semantics.
-			rest, ferr := findAllWith(ctx, vm, data, off)
+			rest, ferr := findAllWith(ctx, g.vm, data, off)
 			return append(ms, rest...), ferr
 		}
 		var more []Match
-		more, err = core.FindAllFromCtx(ctx, data, off+1, 0)
+		more, err = g.core.FindAllFromCtx(ctx, data, off+1, 0)
 		ms = append(ms, more...)
 	}
 	return ms, nil

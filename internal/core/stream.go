@@ -118,11 +118,7 @@ func (p windowPass) cleanRule(i int) {
 func (p windowPass) scanRule(ctx context.Context, i int, buf []byte, stats *arch.Stats) ([]Match, error) {
 	st := p.st
 	ms, sticky, err := st.rs.withRule(i, int64(st.pos[i]), st.sticky[i], stats, func(g *guarded, gate *fastFinder) (ms []Match, err error) {
-		var f stream.Finder = g
-		if gate != nil {
-			f = gate
-		}
-		st.pos[i], _, err = stream.ScanWindowCtx(ctx, f, buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
+		st.pos[i], _, err = stream.ScanWindowCtx(ctx, probeFinder(g, gate), buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
 			func(m Match, _ []byte) bool {
 				ms = append(ms, m)
 				return true

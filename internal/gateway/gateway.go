@@ -228,10 +228,10 @@ func resolveMetrics(r *metrics.Registry) gwMetrics {
 		shedCapacity:   r.Counter("gateway.shed.capacity"),
 		rerouted:       r.Counter("gateway.rerouted"),
 		partial:        r.Counter("gateway.partial"),
-		sessOpens:      r.Counter("gateway.session.opens"),
-		sessCloses:     r.Counter("gateway.session.closes"),
-		sessReaped:     r.Counter("gateway.session.reaped"),
-		sessActive:     r.Gauge("gateway.session.active"),
+		sessOpens:      r.Counter("gateway.sessions.opens"),
+		sessCloses:     r.Counter("gateway.sessions.closes"),
+		sessReaped:     r.Counter("gateway.sessions.reaped"),
+		sessActive:     r.Gauge("gateway.sessions.active"),
 		sessRestores:   r.Counter("gateway.sessions.restores"),
 		sessFailovers:  r.Counter("gateway.sessions.failovers"),
 		sessReplays:    r.Counter("gateway.sessions.replays"),

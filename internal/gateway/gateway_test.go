@@ -491,6 +491,43 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	}
 }
 
+// The naming contract: across a live gateway's STATS (its own counters
+// plus the fleet.* aggregates) and a live shard's, no two metric
+// families — the dotted prefixes metrics are grouped under — may differ
+// only by a singular/plural segment: one family, one prefix
+// (gateway.session.* beside gateway.sessions.* was the drift).
+func TestMetricNamingContract(t *testing.T) {
+	_, s0 := startShard(t, server.Config{})
+	_, gaddr := startGateway(t, gateway.Config{Backends: []string{s0}})
+
+	spellings := map[string]string{} // plural-folded family -> family as first spelled
+	for _, c := range []*client.Client{client.New(gaddr, client.WithTenant("t1", "")), client.New(s0)} {
+		defer c.Close()
+		if _, err := c.Scan([]byte("alpha1 beta-token")); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		snap, err := c.Stats()
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		for _, m := range snap.Metrics {
+			segs := strings.Split(m.Name, ".")
+			folded := make([]string, len(segs)-1)
+			for i, seg := range segs[:len(segs)-1] {
+				folded[i] = strings.TrimSuffix(seg, "s")
+				key, family := strings.Join(folded[:i+1], "."), strings.Join(segs[:i+1], ".")
+				if first, ok := spellings[key]; ok && first != family {
+					t.Errorf("metric families %q and %q differ only by a plural", first, family)
+				}
+				spellings[key] = family
+			}
+		}
+	}
+	if len(spellings) == 0 {
+		t.Fatal("no metrics in either snapshot")
+	}
+}
+
 // An oversized tenant name is a malformed envelope: the gateway
 // answers ERROR bad-frame rather than routing or hanging.
 func TestGatewayOversizedTenantHeader(t *testing.T) {

@@ -17,9 +17,7 @@ import (
 	"sort"
 	"sync"
 
-	"alveare/internal/approx"
 	"alveare/internal/arch"
-	"alveare/internal/automata"
 	"alveare/internal/isa"
 	"alveare/internal/stream"
 )
@@ -42,51 +40,6 @@ type Engine struct {
 	cfg     arch.Config
 	cores   []*arch.Core
 	overlap int
-
-	// fast, when enabled (EnableFastGate), holds one private lazy-DFA
-	// gate per core: a chunk whose gate proves match-free is never
-	// simulated at all — the divide-and-conquer counterpart of the
-	// engine layer's probe gate.
-	fast []*automata.LazyDFA
-
-	// admit, when enabled (EnableApproxScreen), screens every chunk
-	// with the over-approximating admission automaton before the gate
-	// and the core run; a clean verdict skips both. The filter is
-	// immutable and shared across cores.
-	admit *approx.Filter
-}
-
-// EnableApproxScreen installs the admission filter as the chunks'
-// first stage. Sound screens never change results — a rejected chunk
-// is one the exact engine would have found nothing in.
-func (e *Engine) EnableApproxScreen(f *approx.Filter) { e.admit = f }
-
-// EnableFastGate installs one lazy-DFA chunk gate per core (each core
-// runs concurrently, so each needs a private instance). cacheStates
-// bounds every gate's state cache; non-positive selects the default.
-func (e *Engine) EnableFastGate(p *automata.LazyProg, cacheStates int) {
-	e.fast = make([]*automata.LazyDFA, len(e.cores))
-	for i := range e.fast {
-		e.fast[i] = p.NewDFA(cacheStates)
-	}
-}
-
-// FastGateStats sums the chunk gates' cache counters.
-func (e *Engine) FastGateStats() automata.LazyStats {
-	var st automata.LazyStats
-	for _, d := range e.fast {
-		st.Add(d.Stats())
-	}
-	return st
-}
-
-// TakeFastGateStats sums and zeroes the chunk gates' cache counters.
-func (e *Engine) TakeFastGateStats() automata.LazyStats {
-	var st automata.LazyStats
-	for _, d := range e.fast {
-		st.Add(d.TakeStats())
-	}
-	return st
 }
 
 // New builds an n-core engine. A non-positive overlap selects
@@ -169,22 +122,15 @@ type Result struct {
 	// Run still returns a non-nil error when any chunk failed, so
 	// callers that ignore Failed keep fail-stop semantics.
 	Failed []ChunkFailure
-	// FastSkips counts the chunks the lazy-DFA gate proved match-free,
-	// skipping core simulation entirely (EnableFastGate only).
-	FastSkips int
-	// ApproxSkips counts the chunks the admission automaton screened
-	// out before the gate or the core ran; ApproxHits counts admitted
-	// chunks that produced at least one owned match
-	// (EnableApproxScreen only).
-	ApproxSkips int
-	ApproxHits  int
+	// Hits is the number of chunks that owned at least one match.
+	Hits int
 }
 
 // Run searches the whole stream with all cores in parallel and merges
 // the results. Each core owns the matches starting inside its chunk and
 // may read up to overlap bytes past it to complete them.
 func (e *Engine) Run(data []byte) (Result, error) {
-	return e.RunCtx(context.Background(), data)
+	return e.RunCtx(context.Background(), data, nil)
 }
 
 // RunCtx is Run with cooperative cancellation: every core polls ctx
@@ -192,40 +138,31 @@ func (e *Engine) Run(data []byte) (Result, error) {
 // chunk fault the partial Result (healthy chunks' matches, per-chunk
 // failure records) is returned together with the first failure, wrapped
 // with its core index.
-func (e *Engine) RunCtx(ctx context.Context, data []byte) (Result, error) {
+//
+// admit, when non-nil, is asked once per chunk, on the caller's
+// goroutine and in stream order, whether the chunk's extended window
+// can hold a match; a chunk it rejects is never simulated (its core
+// reports zero counters). The verdict must be sound — a rejected window
+// is one the core would have found nothing in — so it never changes
+// results. nil runs every chunk.
+func (e *Engine) RunCtx(ctx context.Context, data []byte, admit func(window []byte) bool) (Result, error) {
 	chunks := stream.Plan(len(data), len(e.cores), e.overlap)
 	type coreOut struct {
-		matches  []arch.Match
-		stats    arch.Stats
-		err      error
-		skipped  bool
-		screened bool
+		matches []arch.Match
+		stats   arch.Stats
+		err     error
 	}
 	outs := make([]coreOut, len(chunks))
 	var wg sync.WaitGroup
 	for i, c := range chunks {
+		core := e.cores[i]
+		core.Reset()
+		if admit != nil && !admit(data[c.Lo:c.Ext]) {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, c stream.Chunk) {
 			defer wg.Done()
-			core := e.cores[i]
-			core.Reset()
-			if e.admit != nil && !e.admit.Suspect(data[c.Lo:c.Ext]) {
-				// Admission screen proved the chunk (with its overlap
-				// extension) match-free; neither the gate nor the core
-				// runs. The verdict covers every match the chunk owns.
-				outs[i].screened = true
-				return
-			}
-			if e.fast != nil {
-				// Gate the whole chunk: a match-free answer skips the
-				// simulation. A gate bail or cancellation just falls
-				// through — the core applies its own ctx/fault handling,
-				// so error chains are identical to the ungated path.
-				if _, found, gerr := e.fast[i].FirstAcceptCtx(ctx, data[c.Lo:c.Ext], 0); gerr == nil && !found {
-					outs[i].skipped = true
-					return
-				}
-			}
 			ms, err := core.FindAllCtx(ctx, data[c.Lo:c.Ext], 0)
 			outs[i].stats = core.Stats()
 			if err != nil {
@@ -244,13 +181,8 @@ func (e *Engine) RunCtx(ctx context.Context, data []byte) (Result, error) {
 	res := Result{Chunks: len(chunks)}
 	var firstErr error
 	for i := range outs {
-		if outs[i].skipped {
-			res.FastSkips++
-		}
-		if outs[i].screened {
-			res.ApproxSkips++
-		} else if e.admit != nil && len(outs[i].matches) > 0 {
-			res.ApproxHits++
+		if len(outs[i].matches) > 0 {
+			res.Hits++
 		}
 		res.PerCore = append(res.PerCore, outs[i].stats)
 		cycles := outs[i].stats.Cycles + StartupCycles

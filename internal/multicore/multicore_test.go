@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -208,5 +209,42 @@ func TestCoresAccessor(t *testing.T) {
 	e := engine(t, "a", 7)
 	if e.Cores() != 7 {
 		t.Errorf("Cores = %d", e.Cores())
+	}
+}
+
+// TestAdmitPredicate: the per-chunk predicate is asked once per chunk
+// in stream order with the chunk's extended window; a rejected chunk is
+// never simulated (zero counters, only the start-up cost) and a nil
+// predicate runs them all.
+func TestAdmitPredicate(t *testing.T) {
+	data := []byte(strings.Repeat(".", 4000) + "needle" + strings.Repeat(".", 4000))
+	e := engine(t, "needle", 4)
+	all, err := e.Run(data)
+	if err != nil || len(all.Matches) != 1 || all.Hits != 1 {
+		t.Fatalf("ungated run: %+v, %v", all, err)
+	}
+	var asked, bytes int
+	res, err := e.RunCtx(context.Background(), data, func(window []byte) bool {
+		asked++
+		bytes += len(window)
+		return strings.Contains(string(window), "needle")
+	})
+	if err != nil || len(res.Matches) != 1 || res.Matches[0] != all.Matches[0] || res.Hits != 1 {
+		t.Fatalf("gated run: %+v, %v", res, err)
+	}
+	if asked != res.Chunks || bytes != len(data)+(res.Chunks-1)*DefaultOverlap {
+		t.Fatalf("predicate asked %d times over %d bytes, want %d chunks with their overlap", asked, bytes, res.Chunks)
+	}
+	idle := 0
+	for _, st := range res.PerCore {
+		if st.Cycles == 0 {
+			idle++
+		}
+	}
+	if idle != res.Chunks-1 {
+		t.Fatalf("%d idle cores, want all but the one holding the match: %+v", idle, res.PerCore)
+	}
+	if res.TotalCycles >= all.TotalCycles {
+		t.Fatalf("rejected chunks still burned cycles: %d vs %d", res.TotalCycles, all.TotalCycles)
 	}
 }
