@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck layercheck benchmark benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck layercheck loc benchmark benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -30,15 +30,42 @@ check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck la
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-## layercheck: the import layering the design leans on. The scale-out
-## engine is the paper's §6 model and knows no skip tier — core.Engine
-## hands it one per-chunk predicate — and the simulator sits below the
-## engine glue and the serving shell.
+## layercheck: the layering the design leans on. The scale-out engine
+## is the paper's §6 model and knows no skip tier — core.Engine hands it
+## one per-chunk predicate — and the simulator sits below the engine
+## glue and the serving shell. The serving shell itself exists once:
+## the accept loop, the framing-fault half-close and the write deadline
+## live in one file of server + gateway (server/shell.go), and the typed
+## client ops in one file of the client (client/ops.go), so neither
+## front end nor Pool can grow its own copy back.
+SHELL_SRC  = $(filter-out %_test.go,$(wildcard internal/server/*.go internal/gateway/*.go))
+CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/server/client/*.go))
 layercheck:
 	@! $(GO) list -deps ./internal/multicore | grep -E '^alveare/internal/(approx|automata|prefilter)$$' \
 		|| { echo "layercheck: internal/multicore must not import a skip tier"; exit 1; }
 	@! $(GO) list -deps ./internal/arch | grep -E '^alveare/internal/(core|server|gateway)(/|$$)' \
 		|| { echo "layercheck: internal/arch must not import core, server or gateway"; exit 1; }
+	@for pat in '.Accept()' 'CloseWrite()' 'SetWriteDeadline('; do \
+		n=$$(grep -lF -- "$$pat" $(SHELL_SRC) | wc -l); [ $$n -eq 1 ] \
+			|| { echo "layercheck: $$pat occurs in $$n non-test files of internal/server + internal/gateway, want exactly 1"; exit 1; }; \
+	done
+	@n=$$(grep -lF -- 'server.DecodeMatches(' $(CLIENT_SRC) | wc -l); [ $$n -eq 1 ] \
+		|| { echo "layercheck: server.DecodeMatches( occurs in $$n non-test files of internal/server/client, want exactly 1"; exit 1; }
+
+## loc: the north-star statistic of ROADMAP aim 2 — non-test Go code
+## lines (blank and //-only lines excluded) of the serving shell beside
+## those of the paper's subject, one line per package plus the two sums.
+LOC_SHELL   = internal/server internal/gateway internal/server/client
+LOC_SUBJECT = internal/isa internal/syntax internal/ir internal/backend internal/arch
+loc:
+	@for group in "serving shell:$(LOC_SHELL)" "paper's subject:$(LOC_SUBJECT)"; do \
+		sum=0; \
+		for pkg in $${group#*:}; do \
+			n=$$(ls $$pkg/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+			printf '%6d  %s\n' $$n $$pkg; sum=$$((sum + n)); \
+		done; \
+		printf '%6d  %s\n' $$sum "$${group%%:*} (sum)"; \
+	done
 
 ## benchmark: the scan fleet's one benchmark (benchmark/README.md) — all
 ## five workloads, every answer checked against the oracle. BENCH_FLAGS

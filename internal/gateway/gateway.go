@@ -30,10 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -45,10 +42,6 @@ import (
 	"alveare/internal/server"
 	"alveare/internal/server/client"
 )
-
-// faultDrainTimeout bounds draining a peer's leftover bytes after a
-// framing fault, as in the scan server.
-const faultDrainTimeout = 500 * time.Millisecond
 
 // Tenant is one row of the gateway's static tenant table.
 type Tenant struct {
@@ -193,7 +186,6 @@ type tenantState struct {
 type gwMetrics struct {
 	requests       *metrics.Counter
 	ok             *metrics.Counter
-	errs           *metrics.Counter
 	shed           *metrics.Counter
 	shedQuota      *metrics.Counter
 	shedFairq      *metrics.Counter
@@ -210,18 +202,13 @@ type gwMetrics struct {
 	sessDedup      *metrics.Counter // replayed matches suppressed by the finalised-prefix mark
 	sessGenRefused *metrics.Counter // restore candidates refused by the generation fence
 	reconciled     *metrics.Counter // lagging shards converged by the anti-entropy loop
-	bytesIn        *metrics.Counter
-	bytesOut       *metrics.Counter
-	connsOpen      *metrics.Gauge
-	connsTotal     *metrics.Counter
-	reachable      *metrics.Gauge // fleet.shards.reachable
+	reachable      *metrics.Gauge   // fleet.shards.reachable
 }
 
 func resolveMetrics(r *metrics.Registry) gwMetrics {
 	return gwMetrics{
 		requests:       r.Counter("gateway.requests"),
 		ok:             r.Counter("gateway.ok"),
-		errs:           r.Counter("gateway.errors"),
 		shed:           r.Counter("gateway.shed"),
 		shedQuota:      r.Counter("gateway.shed.quota"),
 		shedFairq:      r.Counter("gateway.shed.fairqueue"),
@@ -238,16 +225,14 @@ func resolveMetrics(r *metrics.Registry) gwMetrics {
 		sessDedup:      r.Counter("gateway.sessions.dedup"),
 		sessGenRefused: r.Counter("gateway.sessions.genrefused"),
 		reconciled:     r.Counter("gateway.reload.reconciled"),
-		bytesIn:        r.Counter("gateway.bytes.in"),
-		bytesOut:       r.Counter("gateway.bytes.out"),
-		connsOpen:      r.Gauge("gateway.conns.open"),
-		connsTotal:     r.Counter("gateway.conns.total"),
 		reachable:      r.Gauge("fleet.shards.reachable"),
 	}
 }
 
-// Gateway is one fleet front-end instance.
+// Gateway is one fleet front-end instance: a server.Shell (listener,
+// connections, drain) around the admission gates and the shard router.
 type Gateway struct {
+	*server.Shell
 	cfg     Config
 	bs      *client.Backends
 	ring    *ring
@@ -256,16 +241,10 @@ type Gateway struct {
 	reg     *metrics.Registry
 	met     gwMetrics
 
-	baseCtx context.Context
-	abort   context.CancelFunc
-
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	sessMu   sync.Mutex
-	sessions map[uint64]*gwSession
-	sessNext uint64
-	sessStop chan struct{} // closed when the drain begins; stops the reaper
+	sessions *server.SessionTable[placement, func(closed bool)]
 
 	// Anti-entropy state: the last fleet-visible RELOAD body and the
 	// highest generation any shard reached applying it. The reconciler
@@ -274,26 +253,7 @@ type Gateway struct {
 	reconRules []byte
 	reconGen   uint32
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
-	closed   bool
-
-	stopOnce  sync.Once
-	stopped   chan struct{}
-	wgConns   sync.WaitGroup
 	wgWorkers sync.WaitGroup
-}
-
-// conn mirrors the scan server's connection bookkeeping: one reader
-// goroutine, responses written under the write mutex, admitted jobs
-// tracked so drain can finish them.
-type conn struct {
-	nc      net.Conn
-	wmu     sync.Mutex
-	pending sync.WaitGroup
-	broken  atomic.Bool
 }
 
 // New builds the gateway. No shard is dialed until traffic (or the
@@ -326,32 +286,23 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	g := &Gateway{
-		cfg:      cfg,
-		bs:       bs,
-		ring:     newRing(len(cfg.Backends), cfg.RingReplicas),
-		fq:       newFairQueue(),
-		tenants:  make(map[string]*tenantState, len(cfg.Tenants)),
-		reg:      reg,
-		met:      resolveMetrics(reg),
-		baseCtx:  ctx,
-		abort:    cancel,
-		rng:      rand.New(rand.NewSource(seed ^ 0x5deece66d)),
-		sessions: map[uint64]*gwSession{},
-		sessStop: make(chan struct{}),
-		conns:    map[*conn]struct{}{},
-		stopped:  make(chan struct{}),
+		cfg:     cfg,
+		bs:      bs,
+		ring:    newRing(len(cfg.Backends), cfg.RingReplicas),
+		fq:      newFairQueue(),
+		tenants: make(map[string]*tenantState, len(cfg.Tenants)),
+		reg:     reg,
+		met:     resolveMetrics(reg),
+		rng:     rand.New(rand.NewSource(seed ^ 0x5deece66d)),
 	}
 	for _, t := range cfg.Tenants {
 		if t.Name == "" || len(t.Name) > server.MaxTenantName {
 			bs.Close()
-			cancel()
 			return nil, fmt.Errorf("gateway: invalid tenant name %q", t.Name)
 		}
 		if _, dup := g.tenants[t.Name]; dup {
 			bs.Close()
-			cancel()
 			return nil, fmt.Errorf("gateway: duplicate tenant %q", t.Name)
 		}
 		depth := t.QueueDepth
@@ -371,162 +322,60 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.DefaultTenant != "" && g.tenants[cfg.DefaultTenant] == nil {
 		bs.Close()
-		cancel()
 		return nil, fmt.Errorf("gateway: default tenant %q not in tenant table", cfg.DefaultTenant)
 	}
-	return g, nil
-}
-
-// ListenAndServe listens on cfg.Addr and serves until Shutdown/Close.
-func (g *Gateway) ListenAndServe() error {
-	ln, err := net.Listen("tcp", g.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ln)
-}
-
-// Addr returns the listener's address, or nil before Serve.
-func (g *Gateway) Addr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
-}
-
-// Serve runs the accept loop on ln until Shutdown or Close; it owns
-// the listener. The error is nil after a clean shutdown.
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	if g.closed || g.draining {
-		g.mu.Unlock()
-		ln.Close()
-		return errors.New("gateway: already shut down")
-	}
-	g.ln = ln
-	g.mu.Unlock()
-
-	for i := 0; i < g.cfg.Workers; i++ {
-		g.wgWorkers.Add(1)
-		go g.worker()
-	}
-	g.wgWorkers.Add(1)
-	go g.sessionReaper()
-	if g.cfg.ReconcileInterval > 0 {
-		g.wgWorkers.Add(1)
-		go g.reconciler()
-	}
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			stopping := g.draining || g.closed
-			g.mu.Unlock()
-			if stopping {
-				return nil
-			}
-			return err
-		}
-		c := &conn{nc: nc}
-		g.mu.Lock()
-		if g.draining || g.closed {
-			g.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		g.conns[c] = struct{}{}
-		open := len(g.conns)
-		g.mu.Unlock()
-		g.met.connsTotal.Inc()
-		g.met.connsOpen.Set(int64(open))
-		g.wgConns.Add(1)
-		go g.serveConn(c)
-	}
-}
-
-// Shutdown drains the gateway: listener closed, readers woken, every
-// admitted request answered, workers retired, shard connections
-// closed. Returns nil on a clean drain, or ctx's error after
-// escalating to Close.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	for _, c := range g.beginStop() {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	g.ensureDrainLoop()
-	select {
-	case <-g.stopped:
-		return nil
-	case <-ctx.Done():
-		g.Close()
-		return ctx.Err()
-	}
-}
-
-// Close stops the gateway immediately: in-flight routing is cancelled
-// and client connections closed. Prefer Shutdown.
-func (g *Gateway) Close() error {
-	conns := g.beginStop()
-	g.abort()
-	for _, c := range conns {
-		c.broken.Store(true)
-		c.nc.Close()
-	}
-	g.ensureDrainLoop()
-	<-g.stopped
-	return nil
-}
-
-func (g *Gateway) beginStop() []*conn {
-	g.mu.Lock()
-	g.draining = true
-	ln := g.ln
-	conns := make([]*conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	return conns
-}
-
-// ensureDrainLoop runs the terminal drain exactly once: readers (the
-// fair queue's only producers) exit, the queue closes and its backlog
-// is served, workers retire, shard connections close.
-func (g *Gateway) ensureDrainLoop() {
-	g.stopOnce.Do(func() {
-		go func() {
-			close(g.sessStop)
-			g.wgConns.Wait()
+	g.sessions = server.NewSessionTable(server.SessionConfig[placement, func(closed bool)]{
+		Max:      cfg.MaxSessions,
+		Pending:  cfg.SessionPending,
+		Idle:     cfg.SessionIdleTimeout,
+		Schedule: g.scheduleSession,
+		Exec:     func(_ *gwSession, frame func(bool), closed bool) { frame(closed) },
+		Active:   g.met.sessActive,
+		Reaped:   g.met.sessReaped,
+	})
+	g.Shell = server.NewShell(server.ShellConfig{
+		Name:         "gateway",
+		Addr:         cfg.Addr,
+		MaxFrame:     cfg.MaxFrame,
+		ReadTimeout:  cfg.ReadTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Registry:     reg,
+		Start:        g.start,
+		Dispatch:     g.dispatch,
+		ConnClosed:   g.sessions.ConnClosed,
+		Drain: func() {
 			g.fq.close()
 			g.wgWorkers.Wait()
 			g.bs.Close()
-			g.mu.Lock()
-			g.closed = true
-			g.mu.Unlock()
-			g.abort()
-			close(g.stopped)
-		}()
+		},
 	})
+	return g, nil
 }
 
-func (g *Gateway) isDraining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
+// start launches the routing workers, the session reaper and the
+// reconciler; the drain waits for all of them.
+func (g *Gateway) start() {
+	g.spawn(func() { g.sessions.Reap(g.Stopping()) })
+	if g.cfg.ReconcileInterval > 0 {
+		g.spawn(g.reconciler)
+	}
+	for i := 0; i < g.cfg.Workers; i++ {
+		g.spawn(g.worker)
+	}
+}
+
+func (g *Gateway) spawn(loop func()) {
+	g.wgWorkers.Add(1)
+	go func() {
+		defer g.wgWorkers.Done()
+		loop()
+	}()
 }
 
 // MetricsSnapshot refreshes the fleet gauges and returns the gateway
 // registry's deterministic snapshot — the STATS response body.
 func (g *Gateway) MetricsSnapshot() *metrics.Snapshot {
 	g.pollFleet()
-	g.mu.Lock()
-	open := len(g.conns)
-	g.mu.Unlock()
-	g.met.connsOpen.Set(int64(open))
 	for name, ts := range g.tenants {
 		ts.qdepth.Set(int64(g.fq.depthOf(name)))
 	}
@@ -568,7 +417,7 @@ func (g *Gateway) pollFleet() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 			defer cancel()
 			snap, err := g.bs.Client(i).StatsCtx(ctx)
 			if err == nil {
@@ -599,60 +448,14 @@ func (g *Gateway) pollFleet() {
 	g.reg.Gauge("fleet.sessions.open").Set(sessOpen)
 }
 
-// serveConn is one client connection's reader loop, mirroring the scan
-// server's: parse a frame, answer control requests inline, pass
-// queue-class requests through admission.
-func (g *Gateway) serveConn(c *conn) {
-	defer g.wgConns.Done()
-	defer func() {
-		c.pending.Wait()
-		g.closeConnGwSessions(c)
-		c.nc.Close()
-		g.mu.Lock()
-		delete(g.conns, c)
-		open := len(g.conns)
-		g.mu.Unlock()
-		g.met.connsOpen.Set(int64(open))
-	}()
-
-	for {
-		if g.isDraining() {
-			return
-		}
-		c.nc.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-		f, err := server.ReadFrame(c.nc, g.cfg.MaxFrame)
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF):
-				return
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				return
-			case errors.Is(err, server.ErrFrameTooLarge), errors.Is(err, server.ErrMalformedFrame):
-				g.met.errs.Inc()
-				g.writeFrame(c, server.Frame{Op: server.OpError, Body: server.EncodeError(server.ErrCodeBadFrame, err.Error())})
-				if tc, ok := c.nc.(*net.TCPConn); ok {
-					tc.CloseWrite()
-				}
-				c.nc.SetReadDeadline(time.Now().Add(faultDrainTimeout))
-				io.Copy(io.Discard, io.LimitReader(c.nc, int64(g.cfg.MaxFrame)))
-				return
-			default:
-				return
-			}
-		}
-		g.met.bytesIn.Add(int64(9 + len(f.Body)))
-		g.dispatch(c, f)
-	}
-}
-
 // dispatch routes one parsed request. PING answers locally; RULES-INFO
 // forwards to the first admitting shard; STATS aggregates the fleet —
 // all inline on the reader. Queue-class requests resolve their tenant
 // and run the admission gates.
-func (g *Gateway) dispatch(c *conn, f server.Frame) {
+func (g *Gateway) dispatch(c *server.Conn, f server.Frame) {
 	switch f.Op {
 	case server.OpPing:
-		g.writeFrame(c, server.Frame{Op: server.OpPong, ID: f.ID})
+		c.WriteFrame(server.Frame{Op: server.OpPong, ID: f.ID})
 		return
 	case server.OpRulesInfo:
 		g.forwardControl(c, f.ID, server.OpRulesInfo, server.OpInfo, nil)
@@ -663,7 +466,7 @@ func (g *Gateway) dispatch(c *conn, f server.Frame) {
 			g.replyErr(c, f.ID, nil, server.ErrCodeScan, err)
 			return
 		}
-		g.writeFrame(c, server.Frame{Op: server.OpStatsResp, ID: f.ID, Body: buf.Bytes()})
+		c.WriteFrame(server.Frame{Op: server.OpStatsResp, ID: f.ID, Body: buf.Bytes()})
 		return
 	}
 
@@ -679,7 +482,6 @@ func (g *Gateway) dispatch(c *conn, f server.Frame) {
 		var err error
 		hdr, op, body, err = server.DecodeTenant(f.Body)
 		if err != nil {
-			g.met.errs.Inc()
 			g.replyErr(c, f.ID, nil, server.ErrCodeBadFrame, err)
 			return
 		}
@@ -688,26 +490,22 @@ func (g *Gateway) dispatch(c *conn, f server.Frame) {
 		op, body = f.Op, f.Body
 		hdr = server.TenantHeader{Tenant: g.cfg.DefaultTenant}
 	default:
-		g.met.errs.Inc()
-		g.writeFrame(c, server.Frame{Op: server.OpError, ID: f.ID,
-			Body: server.EncodeError(server.ErrCodeBadFrame, "unknown opcode "+server.OpName(f.Op))})
+		c.ReplyErr(f.ID, server.ErrCodeBadFrame, errors.New("unknown opcode "+server.OpName(f.Op)))
 		return
 	}
 
 	g.met.requests.Inc()
 	ts := g.tenants[hdr.Tenant]
 	if ts == nil {
-		g.met.errs.Inc()
 		what := hdr.Tenant
 		if !named && what == "" {
 			what = "(no TENANT header)"
 		}
-		g.writeFrame(c, server.Frame{Op: server.OpError, ID: f.ID,
-			Body: server.EncodeError(server.ErrCodeUnknownTenant, "unknown tenant "+what)})
+		c.ReplyErr(f.ID, server.ErrCodeUnknownTenant, errors.New("unknown tenant "+what))
 		return
 	}
 	ts.requests.Inc()
-	if g.isDraining() {
+	if g.Draining() {
 		g.replyErr(c, f.ID, ts, server.ErrCodeDraining, errors.New("gateway draining"))
 		return
 	}
@@ -719,17 +517,17 @@ func (g *Gateway) dispatch(c *conn, f server.Frame) {
 		// Session frames must reach their pinned shard in arrival
 		// order: they join the session's FIFO, not the fair queue
 		// directly.
-		g.dispatchSessionFrame(c, ts, hdr.Tenant, op, body, f.ID)
+		g.dispatchSessionFrame(c, ts, op, body, f.ID)
 		return
 	}
 	id, key := f.ID, hdr.Key()
-	c.pending.Add(1)
+	c.Pending.Add(1)
 	j := &job{run: func() {
-		defer c.pending.Done()
+		defer c.Pending.Done()
 		g.execute(c, ts, key, op, body, id)
 	}}
 	if !g.fq.push(hdr.Tenant, j) {
-		c.pending.Done()
+		c.Pending.Done()
 		// Refund the quota token: a fair-queue shed must not also
 		// burn the tenant's contracted rate.
 		ts.quota.give()
@@ -741,7 +539,6 @@ func (g *Gateway) dispatch(c *conn, f server.Frame) {
 
 // worker serves the fair queue until it closes and drains.
 func (g *Gateway) worker() {
-	defer g.wgWorkers.Done()
 	for {
 		j, ok := g.fq.pop()
 		if !ok {
@@ -752,7 +549,7 @@ func (g *Gateway) worker() {
 }
 
 // execute routes one admitted queue-class request.
-func (g *Gateway) execute(c *conn, ts *tenantState, key string, op byte, body []byte, id uint32) {
+func (g *Gateway) execute(c *server.Conn, ts *tenantState, key string, op byte, body []byte, id uint32) {
 	switch op {
 	case server.OpScan:
 		g.routeSingle(c, ts, key, op, server.OpMatches, body, id)
@@ -777,7 +574,7 @@ func (g *Gateway) execute(c *conn, ts *tenantState, key string, op byte, body []
 // next shard (these ops are idempotent); an authoritative ERROR is
 // forwarded as-is. Budget exhaustion degrades to SHED capacity — the
 // client learns "the fleet is saturated or dark", not a hang.
-func (g *Gateway) routeSingle(c *conn, ts *tenantState, key string, op, wantOp byte, body []byte, id uint32) {
+func (g *Gateway) routeSingle(c *server.Conn, ts *tenantState, key string, op, wantOp byte, body []byte, id uint32) {
 	order := g.ring.Order(key)
 	for attempt := 0; attempt < g.cfg.Retries; attempt++ {
 		idx := order[attempt%len(order)]
@@ -796,7 +593,7 @@ func (g *Gateway) routeSingle(c *conn, ts *tenantState, key string, op, wantOp b
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		f, err := g.bs.Do(ctx, idx, op, wantOp, body)
 		cancel()
 		if err == nil {
@@ -805,7 +602,7 @@ func (g *Gateway) routeSingle(c *conn, ts *tenantState, key string, op, wantOp b
 			}
 			ts.ok.Inc()
 			g.met.ok.Inc()
-			g.writeFrame(c, server.Frame{Op: f.Op, ID: id, Body: f.Body})
+			c.WriteFrame(server.Frame{Op: f.Op, ID: id, Body: f.Body})
 			return
 		}
 		var se *client.ServerError
@@ -827,7 +624,7 @@ func (g *Gateway) routeSingle(c *conn, ts *tenantState, key string, op, wantOp b
 // case), and accounts every shard explicitly: full coverage answers
 // MATCHES, anything less answers MATCHES-PARTIAL with answered/missed
 // counts, and zero coverage SHEDs with reason capacity.
-func (g *Gateway) scatterGather(c *conn, ts *tenantState, body []byte, id uint32) {
+func (g *Gateway) scatterGather(c *server.Conn, ts *tenantState, body []byte, id uint32) {
 	n := g.bs.Len()
 	legs := make([][]server.RuleMatch, n)
 	// ok and failed are tracked separately from legs: a healthy shard
@@ -845,7 +642,7 @@ func (g *Gateway) scatterGather(c *conn, ts *tenantState, body []byte, id uint32
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 			defer cancel()
 			f, err := g.bs.Do(ctx, i, server.OpScanPattern, server.OpMatches, body)
 			if err != nil {
@@ -907,11 +704,11 @@ func (g *Gateway) scatterGather(c *conn, ts *tenantState, body []byte, id uint32
 	ts.ok.Inc()
 	g.met.ok.Inc()
 	if shardsFailed == 0 {
-		g.writeFrame(c, server.Frame{Op: server.OpMatches, ID: id, Body: server.EncodeMatches(ms)})
+		c.WriteFrame(server.Frame{Op: server.OpMatches, ID: id, Body: server.EncodeMatches(ms)})
 		return
 	}
 	g.met.partial.Inc()
-	g.writeFrame(c, server.Frame{Op: server.OpMatchesPartial, ID: id,
+	c.WriteFrame(server.Frame{Op: server.OpMatchesPartial, ID: id,
 		Body: server.EncodeMatchesPartial(true, shardsOK, shardsFailed, ms)})
 }
 
@@ -921,7 +718,7 @@ func (g *Gateway) scatterGather(c *conn, ts *tenantState, body []byte, id uint32
 // answers RELOAD-OK with the highest generation; any failure answers
 // an ERROR naming every shard that missed the reload, so the operator
 // knows the fleet has diverged and must retry.
-func (g *Gateway) reloadAll(c *conn, ts *tenantState, body []byte, id uint32) {
+func (g *Gateway) reloadAll(c *server.Conn, ts *tenantState, body []byte, id uint32) {
 	n := g.bs.Len()
 	type result struct {
 		gen, rules uint32
@@ -933,7 +730,7 @@ func (g *Gateway) reloadAll(c *conn, ts *tenantState, body []byte, id uint32) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 			defer cancel()
 			gen, rules, err := g.bs.Client(i).ReloadCtx(ctx, string(body))
 			results[i] = result{gen: gen, rules: rules, err: err}
@@ -972,22 +769,22 @@ func (g *Gateway) reloadAll(c *conn, ts *tenantState, body []byte, id uint32) {
 	}
 	ts.ok.Inc()
 	g.met.ok.Inc()
-	g.writeFrame(c, server.Frame{Op: server.OpReloadOK, ID: id, Body: server.EncodeReloadOK(gen, rules)})
+	c.WriteFrame(server.Frame{Op: server.OpReloadOK, ID: id, Body: server.EncodeReloadOK(gen, rules)})
 }
 
 // forwardControl forwards one control request to the first shard the
 // breakers admit, inline on the reader (control requests are cheap and
 // never queue).
-func (g *Gateway) forwardControl(c *conn, id uint32, op, wantOp byte, body []byte) {
+func (g *Gateway) forwardControl(c *server.Conn, id uint32, op, wantOp byte, body []byte) {
 	for i := 0; i < g.bs.Len(); i++ {
 		if !g.bs.Acquire(i) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		f, err := g.bs.Do(ctx, i, op, wantOp, body)
 		cancel()
 		if err == nil {
-			g.writeFrame(c, server.Frame{Op: f.Op, ID: id, Body: f.Body})
+			c.WriteFrame(server.Frame{Op: f.Op, ID: id, Body: f.Body})
 			return
 		}
 		var se *client.ServerError
@@ -996,13 +793,11 @@ func (g *Gateway) forwardControl(c *conn, id uint32, op, wantOp byte, body []byt
 			return
 		}
 	}
-	g.met.errs.Inc()
-	g.writeFrame(c, server.Frame{Op: server.OpError, ID: id,
-		Body: server.EncodeError(server.ErrCodeScan, "no shard reachable")})
+	c.ReplyErr(id, server.ErrCodeScan, errors.New("no shard reachable"))
 }
 
 // shedReply answers one request with a reasoned SHED and counts it.
-func (g *Gateway) shedReply(c *conn, id uint32, ts *tenantState, reason byte) {
+func (g *Gateway) shedReply(c *server.Conn, id uint32, ts *tenantState, reason byte) {
 	g.met.shed.Inc()
 	switch reason {
 	case server.ShedReasonQuota:
@@ -1015,37 +810,15 @@ func (g *Gateway) shedReply(c *conn, id uint32, ts *tenantState, reason byte) {
 	if ts != nil {
 		ts.shed.Inc()
 	}
-	g.writeFrame(c, server.Frame{Op: server.OpShed, ID: id, Body: []byte{reason}})
+	c.WriteFrame(server.Frame{Op: server.OpShed, ID: id, Body: []byte{reason}})
 }
 
 // replyErr writes an ERROR response and counts it.
-func (g *Gateway) replyErr(c *conn, id uint32, ts *tenantState, code byte, err error) {
-	g.met.errs.Inc()
+func (g *Gateway) replyErr(c *server.Conn, id uint32, ts *tenantState, code byte, err error) {
 	if ts != nil {
 		ts.errs.Inc()
 	}
-	g.writeFrame(c, server.Frame{Op: server.OpError, ID: id, Body: server.EncodeError(code, err.Error())})
-}
-
-// writeFrame serialises one response under the connection's write
-// mutex, exactly as the scan server does.
-func (g *Gateway) writeFrame(c *conn, f server.Frame) {
-	if c.broken.Load() {
-		return
-	}
-	c.wmu.Lock()
-	if g.cfg.WriteTimeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-	}
-	err := server.WriteFrame(c.nc, f)
-	c.wmu.Unlock()
-	if err != nil {
-		if c.broken.CompareAndSwap(false, true) {
-			c.nc.Close()
-		}
-		return
-	}
-	g.met.bytesOut.Add(int64(9 + len(f.Body)))
+	c.ReplyErr(id, code, err)
 }
 
 // sleepJitter sleeps a full-jittered draw from (0, d], bounded by the
@@ -1061,6 +834,6 @@ func (g *Gateway) sleepJitter(d time.Duration) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-g.baseCtx.Done():
+	case <-g.Context().Done():
 	}
 }

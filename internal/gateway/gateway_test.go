@@ -495,12 +495,15 @@ func TestGatewayStatsAggregation(t *testing.T) {
 // plus the fleet.* aggregates) and a live shard's, no two metric
 // families — the dotted prefixes metrics are grouped under — may differ
 // only by a singular/plural segment: one family, one prefix
-// (gateway.session.* beside gateway.sessions.* was the drift).
+// (gateway.session.* beside gateway.sessions.* was the drift) — and no
+// leaf may be a family's name plus "s" (server.reloads beside
+// server.reload.* was).
 func TestMetricNamingContract(t *testing.T) {
 	_, s0 := startShard(t, server.Config{})
 	_, gaddr := startGateway(t, gateway.Config{Backends: []string{s0}})
 
 	spellings := map[string]string{} // plural-folded family -> family as first spelled
+	var leaves []string
 	for _, c := range []*client.Client{client.New(gaddr, client.WithTenant("t1", "")), client.New(s0)} {
 		defer c.Close()
 		if _, err := c.Scan([]byte("alpha1 beta-token")); err != nil {
@@ -511,6 +514,7 @@ func TestMetricNamingContract(t *testing.T) {
 			t.Fatalf("Stats: %v", err)
 		}
 		for _, m := range snap.Metrics {
+			leaves = append(leaves, m.Name)
 			segs := strings.Split(m.Name, ".")
 			folded := make([]string, len(segs)-1)
 			for i, seg := range segs[:len(segs)-1] {
@@ -526,13 +530,19 @@ func TestMetricNamingContract(t *testing.T) {
 	if len(spellings) == 0 {
 		t.Fatal("no metrics in either snapshot")
 	}
+	for _, leaf := range leaves {
+		if family := strings.TrimSuffix(leaf, "s"); family != leaf && spellings[family] == family {
+			t.Errorf("metric %q is the family %q.* plus a plural", leaf, family)
+		}
+	}
 }
 
 // An oversized tenant name is a malformed envelope: the gateway
 // answers ERROR bad-frame rather than routing or hanging.
 func TestGatewayOversizedTenantHeader(t *testing.T) {
 	_, s0 := startShard(t, server.Config{})
-	_, gaddr := startGateway(t, gateway.Config{Backends: []string{s0}})
+	gw, gaddr := startGateway(t, gateway.Config{Backends: []string{s0}})
+	errsBefore := gw.MetricsSnapshot().Get("gateway.errors")
 
 	nc, err := net.Dial("tcp", gaddr)
 	if err != nil {
@@ -559,6 +569,9 @@ func TestGatewayOversizedTenantHeader(t *testing.T) {
 	code, _, err := server.DecodeError(f.Body)
 	if err != nil || code != server.ErrCodeBadFrame {
 		t.Fatalf("error body code %d (%v), want bad-frame", code, err)
+	}
+	if d := gw.MetricsSnapshot().Get("gateway.errors") - errsBefore; d != 1 {
+		t.Fatalf("gateway.errors moved by %d for one malformed envelope, want 1", d)
 	}
 }
 

@@ -22,14 +22,13 @@ import (
 )
 
 // reconciler is the background anti-entropy loop; it runs until the
-// drain begins (sharing the session reaper's stop signal).
+// drain begins.
 func (g *Gateway) reconciler() {
-	defer g.wgWorkers.Done()
 	t := time.NewTicker(g.cfg.ReconcileInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-g.sessStop:
+		case <-g.Stopping():
 			return
 		case <-t.C:
 			g.reconcileOnce()
@@ -59,13 +58,13 @@ func (g *Gateway) reconcileOnce() int {
 			// here would just burn timeouts.
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		info, err := g.bs.Client(i).RulesInfoCtx(ctx)
 		cancel()
 		if err != nil || info.Generation >= target {
 			continue
 		}
-		ctx, cancel = context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel = context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		_, _, rerr := g.bs.Client(i).ReloadCtx(ctx, string(rules))
 		cancel()
 		if rerr != nil {

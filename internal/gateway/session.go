@@ -21,9 +21,11 @@
 // predates it), and the session stays alive for the client's resend.
 // Only an authoritative shard verdict about the stream itself (a scan
 // fault) terminally ends the session. Frames of one session execute in
-// arrival order through the same FIFO-plus-runner scheme the scan
-// server uses, so pipelined frames keep a coherent stream while
-// sharing the worker pool fairly.
+// arrival order through the server.SessionTable the scan server also
+// uses — its runner is a fair-queue job here — so pipelined frames keep
+// a coherent stream while sharing the worker pool fairly, and a frame
+// pipelined behind the CLOSE answers unknown-session without reaching
+// a shard.
 package gateway
 
 import (
@@ -31,25 +33,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"alveare/internal/core"
 	"alveare/internal/server"
 	"alveare/internal/server/client"
 )
 
-// gwSession is one client stream, currently placed on one shard. The
-// placement fields (backend, backendID) and the failover state (ckpt,
-// fin, gen) are only touched by the session's single runner — frames
-// of one session execute strictly in arrival order — so they need no
-// lock of their own; mu guards the FIFO/lifecycle fields the reader
-// and reaper share.
-type gwSession struct {
-	id        uint64 // gateway-assigned, what the client holds
+// placement is a client stream's gateway-side state: which shard holds
+// it (backend, backendID) and what failover needs to rebuild it
+// elsewhere (ckpt, fin, gen). Only the session's single runner touches
+// it — frames of one session execute strictly in arrival order.
+type placement struct {
 	backendID uint64 // shard-assigned, what the current shard holds
 	backend   int    // current shard index
-	owner     *conn
 	ts        *tenantState
 
 	key        string // ring placement key, reused for failover walks
@@ -58,13 +54,11 @@ type gwSession struct {
 	ckpt       []byte // last acked post-frame checkpoint (nil: none acked)
 	fin        uint64 // finalised-prefix offset: every forwarded match starts before it
 	clientCkpt bool   // the client itself negotiated checkpoint piggybacks
-
-	mu      sync.Mutex
-	pending []func() // admitted frames awaiting the runner, FIFO
-	running bool
-	closed  bool
-	last    time.Time
 }
+
+// gwSession is one client stream; its ID is the gateway-assigned id the
+// client holds.
+type gwSession = server.Session[placement, func(closed bool)]
 
 // openGwSession places one new stream — a fresh SESSION-OPEN or a
 // client-carried SESSION-RESTORE: walk the tenant's ring order to the
@@ -74,12 +68,12 @@ type gwSession struct {
 // carry state is what makes failover possible. A shard that sheds or
 // is unreachable just moves the walk on — no state was created that
 // the client could observe. The gateway's own session cap sheds with
-// reason capacity.
-func (g *Gateway) openGwSession(c *conn, ts *tenantState, key string, body []byte, id uint32, restore bool) {
-	g.sessMu.Lock()
-	full := len(g.sessions) >= g.cfg.MaxSessions
-	g.sessMu.Unlock()
-	if full {
+// reason capacity: up front when the table is already full (no shard is
+// bothered), and again at the insert, which is what holds the cap when
+// several opens race — the loser's shard-side open falls to the shard's
+// idle reaper like every other abandoned open.
+func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, body []byte, id uint32, restore bool) {
+	if g.sessions.Count() >= g.cfg.MaxSessions {
 		g.shedReply(c, id, ts, server.ShedReasonCapacity)
 		return
 	}
@@ -119,7 +113,7 @@ func (g *Gateway) openGwSession(c *conn, ts *tenantState, key string, body []byt
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		f, err := g.bs.Do(ctx, idx, op, server.OpSessionOK, wire)
 		cancel()
 		if err != nil {
@@ -142,43 +136,39 @@ func (g *Gateway) openGwSession(c *conn, ts *tenantState, key string, body []byt
 			g.replyErr(c, id, ts, server.ErrCodeScan, fmt.Errorf("shard session-ok: %w", derr))
 			return
 		}
-		sess := &gwSession{backendID: backendID, backend: idx, owner: c, ts: ts,
-			key: key, overlap: overlap, gen: gen, ckpt: seedCkpt, clientCkpt: clientCkpt,
-			last: time.Now()}
+		p := placement{backendID: backendID, backend: idx, ts: ts,
+			key: key, overlap: overlap, gen: gen, ckpt: seedCkpt, clientCkpt: clientCkpt}
 		if seedCkpt != nil {
 			if info, perr := core.PeekCheckpoint(seedCkpt); perr == nil {
-				sess.fin = info.Consumed - info.Buffered
+				p.fin = info.Consumed - info.Buffered
 			}
 		}
-		g.sessMu.Lock()
-		g.sessNext++
-		sess.id = g.sessNext
-		g.sessions[sess.id] = sess
-		active := len(g.sessions)
-		g.sessMu.Unlock()
+		sess := g.sessions.Open(c, p)
+		if sess == nil {
+			break
+		}
 		g.met.sessOpens.Inc()
 		if restore {
 			g.met.sessRestores.Inc()
 		}
-		g.met.sessActive.Set(int64(active))
 		ts.ok.Inc()
 		g.met.ok.Inc()
-		okBody := server.EncodeSessionOK(sess.id, overlap)
+		okBody := server.EncodeSessionOK(sess.ID, overlap)
 		if clientCkpt {
-			okBody = server.EncodeSessionOKGen(sess.id, overlap, gen)
+			okBody = server.EncodeSessionOKGen(sess.ID, overlap, gen)
 		}
-		g.writeFrame(c, server.Frame{Op: server.OpSessionOK, ID: id, Body: okBody})
+		c.WriteFrame(server.Frame{Op: server.OpSessionOK, ID: id, Body: okBody})
 		return
 	}
 	g.shedReply(c, id, ts, server.ShedReasonCapacity)
 }
 
 // dispatchSessionFrame admits one SESSION-DATA/SESSION-CLOSE on the
-// reader goroutine (quota already taken): resolve the gateway id, join
-// the session's FIFO, schedule a runner into the fair queue if none is
-// active. A full FIFO or fair queue refunds the quota token and sheds
-// — the frame was not forwarded, so the client may resend it.
-func (g *Gateway) dispatchSessionFrame(c *conn, ts *tenantState, tenant string, op byte, body []byte, id uint32) {
+// reader goroutine (quota already taken): resolve the gateway id and
+// join the session's FIFO. Every refusal refunds the quota token; a
+// full FIFO or fair queue sheds — the frame was not forwarded, so the
+// client may resend it.
+func (g *Gateway) dispatchSessionFrame(c *server.Conn, ts *tenantState, op byte, body []byte, id uint32) {
 	if len(body) < 8 {
 		ts.quota.give()
 		g.replyErr(c, id, ts, server.ErrCodeBadFrame,
@@ -186,90 +176,65 @@ func (g *Gateway) dispatchSessionFrame(c *conn, ts *tenantState, tenant string, 
 		return
 	}
 	gwID := binary.BigEndian.Uint64(body)
-	g.sessMu.Lock()
-	sess := g.sessions[gwID]
-	g.sessMu.Unlock()
-	if sess == nil || sess.owner != c || sess.ts != ts {
-		ts.quota.give()
-		g.replyErr(c, id, ts, server.ErrCodeUnknownSession, fmt.Errorf("unknown session %d", gwID))
-		return
+	verdict := server.SessionGone
+	if sess := g.sessions.Lookup(c, gwID); sess != nil && sess.State.ts == ts {
+		verdict = g.sessions.Push(sess, func(closed bool) {
+			if closed {
+				g.unknownSession(c, ts, id, sess.ID)
+				return
+			}
+			g.forwardSessionFrame(sess, c, op, body, id)
+		})
 	}
-	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		ts.quota.give()
-		g.replyErr(c, id, ts, server.ErrCodeUnknownSession, fmt.Errorf("unknown session %d", gwID))
-		return
-	}
-	if len(sess.pending) >= g.cfg.SessionPending {
-		sess.mu.Unlock()
+	switch verdict {
+	case server.SessionGone:
+		g.unknownSession(c, ts, id, gwID)
+	case server.SessionShed:
 		ts.quota.give()
 		g.shedReply(c, id, ts, server.ShedReasonFairQ)
-		return
 	}
-	c.pending.Add(1)
-	sess.pending = append(sess.pending, func() {
-		defer c.pending.Done()
-		g.forwardSessionFrame(sess, c, op, body, id)
-	})
-	if !sess.running {
-		c.pending.Add(1)
-		runner := &job{run: func() {
-			defer c.pending.Done()
-			g.runGwSession(sess)
-		}}
-		if g.fq.push(tenant, runner) {
-			sess.running = true
-		} else {
-			sess.pending = sess.pending[:len(sess.pending)-1]
-			sess.mu.Unlock()
-			c.pending.Done() // the runner's
-			c.pending.Done() // the item's
-			ts.quota.give()
-			g.shedReply(c, id, ts, server.ShedReasonFairQ)
-			return
-		}
-	}
-	sess.mu.Unlock()
 }
 
-// runGwSession drains one session's FIFO in arrival order, then
-// retires; the next admitted frame schedules a fresh runner.
-func (g *Gateway) runGwSession(sess *gwSession) {
-	for {
-		sess.mu.Lock()
-		if len(sess.pending) == 0 {
-			sess.running = false
-			sess.last = time.Now()
-			sess.mu.Unlock()
-			return
-		}
-		item := sess.pending[0]
-		sess.pending = sess.pending[1:]
-		sess.mu.Unlock()
-		item()
+// unknownSession refuses one session frame whose id is not (or no
+// longer) an open session of this connection and tenant.
+func (g *Gateway) unknownSession(c *server.Conn, ts *tenantState, id uint32, gwID uint64) {
+	ts.quota.give()
+	g.replyErr(c, id, ts, server.ErrCodeUnknownSession, fmt.Errorf("unknown session %d", gwID))
+}
+
+// scheduleSession places sess's runner in its tenant's fair queue.
+func (g *Gateway) scheduleSession(sess *gwSession) bool {
+	c := sess.Owner
+	c.Pending.Add(1)
+	if g.fq.push(sess.State.ts.name, &job{run: func() {
+		defer c.Pending.Done()
+		g.sessions.Run(sess)
+	}}) {
+		return true
 	}
+	c.Pending.Done()
+	return false
 }
 
 // forwardSessionFrame relays one session frame to its current shard,
 // rewriting the leading id to the shard's own. Transport loss, an open
 // breaker, or an unknown-session verdict (shard restarted or reaped the
 // stream) does not kill the session: the frame fails over.
-func (g *Gateway) forwardSessionFrame(sess *gwSession, c *conn, op byte, body []byte, id uint32) {
-	if !g.bs.Acquire(sess.backend) {
+func (g *Gateway) forwardSessionFrame(sess *gwSession, c *server.Conn, op byte, body []byte, id uint32) {
+	if !g.bs.Acquire(sess.State.backend) {
 		// The current shard's breaker is open: move the stream instead
 		// of queueing against a dead shard.
 		g.failoverSessionFrame(sess, c, op, body, id)
 		return
 	}
-	ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
-	f, err := g.bs.Do(ctx, sess.backend, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
+	ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
+	f, err := g.bs.Do(ctx, sess.State.backend, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
 	cancel()
 	if err != nil {
 		if errors.Is(err, client.ErrShed) {
 			// The shard refused the frame without absorbing it; the
 			// session is intact and the client may resend the chunk.
-			g.shedReply(c, id, sess.ts, server.ShedReasonCapacity)
+			g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
 			return
 		}
 		var se *client.ServerError
@@ -278,8 +243,8 @@ func (g *Gateway) forwardSessionFrame(sess *gwSession, c *conn, op byte, body []
 			// Authoritative shard verdict about the stream itself (a
 			// scan fault that killed it): the carry state is gone on
 			// every replica equally; forward it, the session is over.
-			g.closeGwSession(sess)
-			g.replyErr(c, id, sess.ts, se.Code, errors.New(se.Msg))
+			g.sessions.Close(sess)
+			g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
 			return
 		}
 		// Transport loss mid-stream, a draining shard, or a shard that
@@ -294,7 +259,7 @@ func (g *Gateway) forwardSessionFrame(sess *gwSession, c *conn, op byte, body []
 // session frame body for the current shard's own id.
 func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
 	wire := make([]byte, len(body))
-	binary.BigEndian.PutUint64(wire, sess.backendID)
+	binary.BigEndian.PutUint64(wire, sess.State.backendID)
 	copy(wire[8:], body[8:])
 	return wire
 }
@@ -311,10 +276,10 @@ func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
 // attempt budget the frame answers SHED — the chunk was absorbed
 // nowhere (the restore point predates it), the client may resend it,
 // and the session stays alive for the next attempt.
-func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body []byte, id uint32) {
+func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte, body []byte, id uint32) {
 	g.met.sessFailovers.Inc()
-	lost := sess.backend
-	order := g.ring.Order(sess.key)
+	lost := sess.State.backend
+	order := g.ring.Order(sess.State.key)
 	for attempt := 0; attempt < g.cfg.Retries; attempt++ {
 		idx := order[attempt%len(order)]
 		if idx == lost && attempt < len(order) {
@@ -333,14 +298,14 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body [
 			rop  byte
 			wire []byte
 		)
-		if sess.ckpt != nil {
+		if sess.State.ckpt != nil {
 			rop = server.OpSessionRestore
-			wire = server.EncodeSessionRestore(server.SessionOpenFlagCheckpoint, sess.ckpt)
+			wire = server.EncodeSessionRestore(server.SessionOpenFlagCheckpoint, sess.State.ckpt)
 		} else {
 			rop = server.OpSessionOpen
-			wire = server.EncodeSessionOpenFlags(sess.overlap, server.SessionOpenFlagCheckpoint)
+			wire = server.EncodeSessionOpenFlags(sess.State.overlap, server.SessionOpenFlagCheckpoint)
 		}
-		ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		f, err := g.bs.Do(ctx, idx, rop, server.OpSessionOK, wire)
 		cancel()
 		if err != nil {
@@ -352,7 +317,7 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body [
 		if derr != nil {
 			continue
 		}
-		if gen != sess.gen {
+		if gen != sess.State.gen {
 			// Generation fence: the replica serves a different rule set
 			// than the checkpoint was exported under; restoring there
 			// could change results mid-stream. Refuse it — the orphaned
@@ -361,28 +326,28 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body [
 			g.met.sessGenRefused.Inc()
 			continue
 		}
-		sess.backend, sess.backendID = idx, backendID
+		sess.State.backend, sess.State.backendID = idx, backendID
 		g.met.sessRestores.Inc()
 
 		// Replay the one in-flight frame on the replacement shard.
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel = context.WithTimeout(g.baseCtx, g.cfg.ShardTimeout)
+		ctx, cancel = context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		rf, rerr := g.bs.Do(ctx, idx, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
 		cancel()
 		if rerr != nil {
 			if errors.Is(rerr, client.ErrShed) {
 				// The replica holds the restored stream but refused the
 				// chunk; the session is intact there.
-				g.shedReply(c, id, sess.ts, server.ShedReasonCapacity)
+				g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
 				return
 			}
 			var se *client.ServerError
 			if errors.As(rerr, &se) &&
 				se.Code != server.ErrCodeUnknownSession && se.Code != server.ErrCodeDraining {
-				g.closeGwSession(sess)
-				g.replyErr(c, id, sess.ts, se.Code, errors.New(se.Msg))
+				g.sessions.Close(sess)
+				g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
 				return
 			}
 			// The replacement died too; keep walking — the checkpoint
@@ -396,7 +361,7 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body [
 	// No replica absorbed the frame: SHED this chunk only. The session
 	// mapping survives — the next frame (a resend, or the next chunk)
 	// re-attempts the failover.
-	g.shedReply(c, id, sess.ts, server.ShedReasonCapacity)
+	g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
 }
 
 // ackSessionReply forwards one shard SESSION-MATCHES to the client:
@@ -404,16 +369,16 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *conn, op byte, body [
 // restore), advance the finalised-prefix high-water mark, dedup
 // replayed matches against it, and re-encode for the client — plain
 // unless the client negotiated checkpoints itself.
-func (g *Gateway) ackSessionReply(sess *gwSession, c *conn, op byte, f server.Frame, id uint32, replayed bool) {
+func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f server.Frame, id uint32, replayed bool) {
 	final, consumed, ms, ckpt, derr := server.DecodeSessionMatchesCkpt(f.Body)
 	if derr != nil {
 		// The shard broke the protocol; nothing downstream can be
 		// trusted. Terminal.
-		g.closeGwSession(sess)
-		g.replyErr(c, id, sess.ts, server.ErrCodeScan, fmt.Errorf("shard session-matches: %w", derr))
+		g.sessions.Close(sess)
+		g.replyErr(c, id, sess.State.ts, server.ErrCodeScan, fmt.Errorf("shard session-matches: %w", derr))
 		return
 	}
-	if replayed && sess.fin > 0 {
+	if replayed && sess.State.fin > 0 {
 		// Every match already forwarded to the client starts before the
 		// finalised prefix (the checkpoint's window base); every match a
 		// correctly restored replay emits starts at or past it. Matches
@@ -421,7 +386,7 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *conn, op byte, f server.Fr
 		// twice.
 		kept := ms[:0]
 		for _, m := range ms {
-			if m.Start < sess.fin {
+			if m.Start < sess.State.fin {
 				g.met.sessDedup.Inc()
 				continue
 			}
@@ -430,100 +395,25 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *conn, op byte, f server.Fr
 		ms = kept
 	}
 	if ckpt != nil {
-		sess.ckpt = append(sess.ckpt[:0], ckpt...)
+		sess.State.ckpt = append(sess.State.ckpt[:0], ckpt...)
 		if info, perr := core.PeekCheckpoint(ckpt); perr == nil {
-			sess.fin = info.Consumed - info.Buffered
+			sess.State.fin = info.Consumed - info.Buffered
 		}
 	}
 	if op == server.OpSessionClose {
-		g.closeGwSession(sess)
+		g.sessions.Close(sess)
 		g.met.sessCloses.Inc()
 	}
-	sess.ts.ok.Inc()
+	sess.State.ts.ok.Inc()
 	g.met.ok.Inc()
 	var out []byte
-	if sess.clientCkpt {
+	if sess.State.clientCkpt {
 		out = server.EncodeSessionMatchesCkpt(final, consumed, ms, ckpt)
 	} else {
 		out = server.EncodeSessionMatches(final, consumed, ms)
 	}
-	g.writeFrame(c, server.Frame{Op: server.OpSessionMatches, ID: id, Body: out})
-}
-
-// closeGwSession drops the mapping (idempotent). The shard side is not
-// chased: a CLOSE already closed it, and every other path (shard lost,
-// shard restarted) has no shard state left worth a round trip — the
-// shard's own idle reaper covers the remainder.
-func (g *Gateway) closeGwSession(sess *gwSession) {
-	sess.mu.Lock()
-	was := sess.closed
-	sess.closed = true
-	sess.mu.Unlock()
-	if was {
-		return
-	}
-	g.sessMu.Lock()
-	delete(g.sessions, sess.id)
-	active := len(g.sessions)
-	g.sessMu.Unlock()
-	g.met.sessActive.Set(int64(active))
-}
-
-// closeConnGwSessions reaps every session the closing connection owns;
-// it runs after the connection's admitted frames were answered.
-func (g *Gateway) closeConnGwSessions(c *conn) {
-	g.sessMu.Lock()
-	var own []*gwSession
-	for _, sess := range g.sessions {
-		if sess.owner == c {
-			own = append(own, sess)
-		}
-	}
-	g.sessMu.Unlock()
-	for _, sess := range own {
-		g.closeGwSession(sess)
-	}
-}
-
-// sessionReaper drops mappings idle past SessionIdleTimeout, so
-// abandoned streams do not pin gateway memory (the shard reaps its own
-// side independently).
-func (g *Gateway) sessionReaper() {
-	defer g.wgWorkers.Done()
-	sweep := g.cfg.SessionIdleTimeout / 4
-	if sweep <= 0 {
-		sweep = time.Second
-	}
-	t := time.NewTicker(sweep)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.sessStop:
-			return
-		case <-t.C:
-			now := time.Now()
-			g.sessMu.Lock()
-			var idle []*gwSession
-			for _, sess := range g.sessions {
-				sess.mu.Lock()
-				if !sess.running && len(sess.pending) == 0 && !sess.closed &&
-					now.Sub(sess.last) > g.cfg.SessionIdleTimeout {
-					idle = append(idle, sess)
-				}
-				sess.mu.Unlock()
-			}
-			g.sessMu.Unlock()
-			for _, sess := range idle {
-				g.closeGwSession(sess)
-				g.met.sessReaped.Inc()
-			}
-		}
-	}
+	c.WriteFrame(server.Frame{Op: server.OpSessionMatches, ID: id, Body: out})
 }
 
 // SessionCount reports the open mapping count (tests and diagnostics).
-func (g *Gateway) SessionCount() int {
-	g.sessMu.Lock()
-	defer g.sessMu.Unlock()
-	return len(g.sessions)
-}
+func (g *Gateway) SessionCount() int { return g.sessions.Count() }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -527,5 +528,138 @@ func TestGatewayReloadReconcile(t *testing.T) {
 	}
 	if got := gw.MetricsSnapshot().Get("gateway.reload.reconciled"); got == 0 {
 		t.Fatal("reconciler converged nothing (gateway.reload.reconciled = 0)")
+	}
+}
+
+// TestGatewaySessionFramesBehindClose: frames pipelined behind a
+// SESSION-CLOSE must answer unknown-session from the gateway itself.
+// Forwarded, they would carry a dead shard id, the shard's
+// unknown-session verdict would read as "shard restarted", and the
+// failover path would restore the last checkpoint on a replica —
+// resurrecting a closed stream and orphaning a shard session.
+func TestGatewaySessionFramesBehindClose(t *testing.T) {
+	t.Cleanup(leakCheck(t))
+	s0, a0 := startShard(t, server.Config{Rules: sessRules, Workers: 2})
+	s1, a1 := startShard(t, server.Config{Rules: sessRules, Workers: 2})
+	gw, gaddr := startGateway(t, gateway.Config{
+		Backends:      []string{a0, a1},
+		Tenants:       []gateway.Tenant{{Name: "tenant-a"}},
+		DefaultTenant: "tenant-a",
+		Seed:          2024,
+	})
+	nc, err := net.Dial("tcp", gaddr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	roundTrip := func(f server.Frame) server.Frame {
+		t.Helper()
+		if err := server.WriteFrame(nc, f); err != nil {
+			t.Fatalf("write %s: %v", server.OpName(f.Op), err)
+		}
+		r, err := server.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("read answer to %s: %v", server.OpName(f.Op), err)
+		}
+		return r
+	}
+	ok := roundTrip(server.Frame{Op: server.OpSessionOpen, ID: 1, Body: server.EncodeSessionOpen(0)})
+	sid, _, err := server.DecodeSessionOK(ok.Body)
+	if ok.Op != server.OpSessionOK || err != nil {
+		t.Fatalf("open answered %s (%v)", server.OpName(ok.Op), err)
+	}
+	payload := sessPayload("tenant-a", 2048)
+	if r := roundTrip(server.Frame{Op: server.OpSessionData, ID: 2,
+		Body: server.EncodeSessionData(sid, payload)}); r.Op != server.OpSessionMatches {
+		t.Fatalf("data answered %s", server.OpName(r.Op))
+	}
+	before := gw.MetricsSnapshot()
+
+	// CLOSE + DATA + CLOSE in one write: all three are in the session's
+	// FIFO before the first CLOSE executes.
+	var burst bytes.Buffer
+	server.WriteFrame(&burst, server.Frame{Op: server.OpSessionClose, ID: 3, Body: server.EncodeSessionClose(sid)})
+	server.WriteFrame(&burst, server.Frame{Op: server.OpSessionData, ID: 4, Body: server.EncodeSessionData(sid, payload)})
+	server.WriteFrame(&burst, server.Frame{Op: server.OpSessionClose, ID: 5, Body: server.EncodeSessionClose(sid)})
+	if _, err := nc.Write(burst.Bytes()); err != nil {
+		t.Fatalf("burst write: %v", err)
+	}
+	for id := uint32(3); id <= 5; id++ {
+		r, err := server.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("answer %d: %v", id, err)
+		}
+		if r.ID != id {
+			t.Fatalf("answer id %d, want %d (FIFO order)", r.ID, id)
+		}
+		if id == 3 {
+			if final, _, _, derr := server.DecodeSessionMatches(r.Body); r.Op != server.OpSessionMatches || derr != nil || !final {
+				t.Fatalf("close answered %s final=%v (%v)", server.OpName(r.Op), final, derr)
+			}
+			continue
+		}
+		code, _, derr := server.DecodeError(r.Body)
+		if r.Op != server.OpError || derr != nil || code != server.ErrCodeUnknownSession {
+			t.Fatalf("frame %d behind the close answered %s code %d (%v), want ERROR unknown-session",
+				id, server.OpName(r.Op), code, derr)
+		}
+	}
+	after := gw.MetricsSnapshot()
+	for _, name := range []string{"gateway.sessions.failovers", "gateway.sessions.restores", "gateway.sessions.replays"} {
+		if d := after.Get(name) - before.Get(name); d != 0 {
+			t.Errorf("%s moved by %d: a closed stream was resurrected", name, d)
+		}
+	}
+	if n := gw.SessionCount(); n != 0 {
+		t.Errorf("gateway SessionCount = %d after close, want 0", n)
+	}
+	for i, s := range []*server.Server{s0, s1} {
+		if n := s.SessionCount(); n != 0 {
+			t.Errorf("shard %d holds %d session(s) after the close (orphaned until its reaper)", i, n)
+		}
+	}
+}
+
+// TestGatewaySessionLimitConcurrent: MaxSessions holds when opens
+// race. The cap is checked where the mapping is inserted, not one
+// shard round trip earlier, so exactly MaxSessions opens win and the
+// rest shed with reason capacity.
+func TestGatewaySessionLimitConcurrent(t *testing.T) {
+	t.Cleanup(leakCheck(t))
+	_, a0 := startShard(t, server.Config{Rules: sessRules, Workers: 4})
+	const limit, opens = 4, 16
+	gw, gaddr := startGateway(t, gateway.Config{
+		Backends:    []string{a0},
+		Tenants:     []gateway.Tenant{{Name: "tenant-a", QueueDepth: opens}},
+		MaxSessions: limit,
+		Workers:     opens,
+	})
+	c := client.New(gaddr, client.WithTenant("tenant-a", ""))
+	defer c.Close()
+	errs := make(chan error, opens)
+	for i := 0; i < opens; i++ {
+		go func() {
+			_, err := c.OpenSession(0)
+			errs <- err
+		}()
+	}
+	won := 0
+	for i := 0; i < opens; i++ {
+		err := <-errs
+		var shed *client.ShedError
+		switch {
+		case err == nil:
+			won++
+		case errors.As(err, &shed) && shed.Reason == server.ShedReasonCapacity:
+		default:
+			t.Errorf("open: %v, want SESSION-OK or SHED capacity", err)
+		}
+	}
+	if won != limit {
+		t.Errorf("%d of %d concurrent opens won, want exactly MaxSessions = %d", won, opens, limit)
+	}
+	if n := gw.SessionCount(); n != limit {
+		t.Errorf("SessionCount = %d, want %d", n, limit)
 	}
 }

@@ -222,40 +222,42 @@ func chaosPoolRun(t *testing.T) {
 // hard RST — the chaos proxy's signature move — must not wedge a
 // graceful drain.
 func TestServerDrainWithMidFrameResets(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	srv, addr := startServer(t, server.Config{Rules: []string{"abc"}})
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		srv := build(frontOpts{})
+		addr := serve(t, srv)
 
-	// A valid header promising a 100-byte body, followed by only 30
-	// bytes and a reset; plus one straggler that just goes quiet.
-	partial := make([]byte, 9+30)
-	binary.BigEndian.PutUint32(partial[0:4], 5+100)
-	partial[4] = server.OpScan
-	binary.BigEndian.PutUint32(partial[5:9], 1)
-	for i := 0; i < 5; i++ {
-		nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
+		// A valid header promising a 100-byte body, followed by only 30
+		// bytes and a reset; plus one straggler that just goes quiet.
+		partial := make([]byte, 9+30)
+		binary.BigEndian.PutUint32(partial[0:4], 5+100)
+		partial[4] = server.OpScan
+		binary.BigEndian.PutUint32(partial[5:9], 1)
+		for i := 0; i < 5; i++ {
+			nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Write(partial); err != nil {
+				t.Fatal(err)
+			}
+			if i < 4 {
+				nc.(*net.TCPConn).SetLinger(0) // RST, not FIN
+				nc.Close()
+			} else {
+				defer nc.Close() // mid-frame and silent: drain must not wait for it
+			}
 		}
-		if _, err := nc.Write(partial); err != nil {
-			t.Fatal(err)
-		}
-		if i < 4 {
-			nc.(*net.TCPConn).SetLinger(0) // RST, not FIN
-			nc.Close()
-		} else {
-			defer nc.Close() // mid-frame and silent: drain must not wait for it
-		}
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown with mid-frame resets: %v", err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("drain took %v; resets must not stall shutdown", d)
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown with mid-frame resets: %v", err)
+		}
+		if d := time.Since(start); d > 3*time.Second {
+			t.Fatalf("drain took %v; resets must not stall shutdown", d)
+		}
+	})
 }
 
 // oneConnListener serves exactly one pre-made connection — the harness
@@ -303,44 +305,38 @@ func (pipeAddr) String() string  { return "pipe" }
 // response write — and therefore a drain — hostage; the write
 // deadline breaks the connection instead.
 func TestWriteTimeoutUnwedgesBlackholedClient(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	cli, srvEnd := net.Pipe()
-	defer cli.Close()
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		cli, srvEnd := net.Pipe()
+		defer cli.Close()
 
-	srv, err := server.New(server.Config{
-		Rules:        []string{"abc"},
-		Workers:      1,
-		WriteTimeout: 100 * time.Millisecond,
+		srv := build(frontOpts{Workers: 1, WriteTimeout: 100 * time.Millisecond})
+		ln := newOneConnListener(srvEnd)
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+
+		// One PING the server will answer into the unbuffered pipe; we
+		// never read, so the PONG write blocks the reader goroutine until
+		// the write deadline kills the connection. The pipe is synchronous,
+		// so once our write returns the server has consumed the request.
+		if err := server.WriteFrame(cli, server.Frame{Op: server.OpPing, ID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond) // let the server reach the blocked PONG write
+
+		// Without the write deadline this drain would wedge on the stuck
+		// writer until the 5s context force-closed everything; with it, the
+		// connection dies at ~WriteTimeout and the drain finishes cleanly.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown wedged behind a blackholed client: %v", err)
+		}
+		if d := time.Since(start); d > 3*time.Second {
+			t.Fatalf("drain took %v; the write timeout should have freed it in ~100ms", d)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := newOneConnListener(srvEnd)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-
-	// One PING the server will answer into the unbuffered pipe; we
-	// never read, so the PONG write blocks the reader goroutine until
-	// the write deadline kills the connection. The pipe is synchronous,
-	// so once our write returns the server has consumed the request.
-	if err := server.WriteFrame(cli, server.Frame{Op: server.OpPing, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the server reach the blocked PONG write
-
-	// Without the write deadline this drain would wedge on the stuck
-	// writer until the 5s context force-closed everything; with it, the
-	// connection dies at ~WriteTimeout and the drain finishes cleanly.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown wedged behind a blackholed client: %v", err)
-	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("drain took %v; the write timeout should have freed it in ~100ms", d)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
 }

@@ -20,7 +20,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -150,7 +149,7 @@ func WithRetries(n int) Option {
 // uniformly random duration in (0, min(base<<(k-1), max)). Defaults:
 // base 20ms, max 2s.
 func WithBackoff(base, max time.Duration) Option {
-	return func(c *Client) { c.boBase, c.boMax = base, max }
+	return func(c *Client) { c.bo.base, c.bo.max = base, max }
 }
 
 // WithAttemptTimeout bounds each individual attempt (dial + write +
@@ -165,7 +164,7 @@ func WithAttemptTimeout(d time.Duration) Option {
 // WithSeed seeds the backoff jitter, making retry schedules
 // reproducible (chaos tests print the seed they used).
 func WithSeed(seed int64) Option {
-	return func(c *Client) { c.rng = rand.New(rand.NewSource(seed)) }
+	return func(c *Client) { c.bo.rng = rand.New(rand.NewSource(seed)) }
 }
 
 // WithMetrics publishes the client's resilience counters (attempts,
@@ -236,21 +235,18 @@ func (cs *connState) dead() bool {
 // Client is one logical connection to a scan service, re-established
 // on demand after connection loss. Safe for concurrent use.
 type Client struct {
+	ops
 	addr        string
 	maxFrame    int
 	dialTimeout time.Duration
 	attemptTO   time.Duration
 	retries     int
-	boBase      time.Duration
-	boMax       time.Duration
+	bo          backoff
 	sleep       func(context.Context, time.Duration) error
 	tenant      server.TenantHeader // zero: no envelope
 
 	reg *metrics.Registry
 	met clientMetrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	dialMu sync.Mutex // serialises reconnect attempts
 
@@ -269,15 +265,15 @@ func New(addr string, opts ...Option) *Client {
 		addr:        addr,
 		maxFrame:    server.DefaultMaxFrame,
 		dialTimeout: 10 * time.Second,
-		boBase:      20 * time.Millisecond,
-		boMax:       2 * time.Second,
+		bo:          backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 		sleep:       sleepCtx,
 	}
+	c.ops.do = c.do
 	for _, o := range opts {
 		o(c)
 	}
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	if c.bo.rng == nil {
+		c.bo.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
 	if c.reg == nil {
 		c.reg = metrics.New()
@@ -448,33 +444,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoffFor sizes the sleep before retry attempt k (1-based):
-// exponential window base<<(k-1) capped at max, full jitter (uniform
-// over the window) with a small floor so a shed request is never
-// hot-looped.
-func (c *Client) backoffFor(attempt int) time.Duration {
-	window := c.boBase
-	for i := 1; i < attempt && window < c.boMax; i++ {
-		window <<= 1
-	}
-	if window > c.boMax {
-		window = c.boMax
-	}
-	if window <= 0 {
-		return 0
-	}
-	c.rngMu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(window)))
-	c.rngMu.Unlock()
-	if floor := window / 16; d < floor {
-		d = floor
-	}
-	if d < 100*time.Microsecond {
-		d = 100 * time.Microsecond
-	}
-	return d
-}
-
 // attemptCtx derives the per-attempt context.
 func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if c.attemptTO <= 0 {
@@ -619,81 +588,10 @@ func (c *Client) do(ctx context.Context, op, wantOp byte, body []byte, idempoten
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 		c.met.retries.Inc()
-		if serr := c.sleep(ctx, c.backoffFor(attempts)); serr != nil {
+		if serr := c.sleep(ctx, c.bo.delay(attempts)); serr != nil {
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 	}
-}
-
-// PingCtx round-trips a liveness probe.
-func (c *Client) PingCtx(ctx context.Context) error {
-	_, err := c.do(ctx, server.OpPing, server.OpPong, nil, true)
-	return err
-}
-
-// Ping round-trips a liveness probe.
-func (c *Client) Ping() error { return c.PingCtx(context.Background()) }
-
-// ScanCtx runs the server's loaded rule set over payload and returns
-// the matches in rule order.
-func (c *Client) ScanCtx(ctx context.Context, payload []byte) ([]server.RuleMatch, error) {
-	f, err := c.do(ctx, server.OpScan, server.OpMatches, payload, true)
-	if err != nil {
-		return nil, err
-	}
-	return server.DecodeMatches(f.Body)
-}
-
-// Scan runs the server's loaded rule set over payload.
-func (c *Client) Scan(payload []byte) ([]server.RuleMatch, error) {
-	return c.ScanCtx(context.Background(), payload)
-}
-
-// CountCtx returns the total number of rule matches in payload.
-func (c *Client) CountCtx(ctx context.Context, payload []byte) (uint64, error) {
-	f, err := c.do(ctx, server.OpCount, server.OpCountResp, payload, true)
-	if err != nil {
-		return 0, err
-	}
-	return server.DecodeCount(f.Body)
-}
-
-// Count returns the total number of rule matches in payload.
-func (c *Client) Count(payload []byte) (uint64, error) {
-	return c.CountCtx(context.Background(), payload)
-}
-
-// ScanPatternCtx runs one ad-hoc pattern (compiled server-side
-// through the LRU program cache) over payload.
-func (c *Client) ScanPatternCtx(ctx context.Context, pattern string, payload []byte) ([]server.RuleMatch, error) {
-	body, err := server.EncodeScanPattern(pattern, payload)
-	if err != nil {
-		return nil, err
-	}
-	f, err := c.do(ctx, server.OpScanPattern, server.OpMatches, body, true)
-	if err != nil {
-		return nil, err
-	}
-	return server.DecodeMatches(f.Body)
-}
-
-// ScanPattern runs one ad-hoc pattern over payload.
-func (c *Client) ScanPattern(pattern string, payload []byte) ([]server.RuleMatch, error) {
-	return c.ScanPatternCtx(context.Background(), pattern, payload)
-}
-
-// RulesInfoCtx describes the serving rule snapshot.
-func (c *Client) RulesInfoCtx(ctx context.Context) (server.Info, error) {
-	f, err := c.do(ctx, server.OpRulesInfo, server.OpInfo, nil, true)
-	if err != nil {
-		return server.Info{}, err
-	}
-	return server.DecodeInfo(f.Body)
-}
-
-// RulesInfo describes the serving rule snapshot.
-func (c *Client) RulesInfo() (server.Info, error) {
-	return c.RulesInfoCtx(context.Background())
 }
 
 // ReloadCtx hot-swaps the server's rule set with the given rules
@@ -715,32 +613,3 @@ func (c *Client) ReloadCtx(ctx context.Context, rulesText string) (generation, r
 func (c *Client) Reload(rulesText string) (generation, rules uint32, err error) {
 	return c.ReloadCtx(context.Background(), rulesText)
 }
-
-// StatsJSONCtx fetches the server's metrics snapshot as its JSON wire
-// form (schema-versioned, byte-deterministic).
-func (c *Client) StatsJSONCtx(ctx context.Context) ([]byte, error) {
-	f, err := c.do(ctx, server.OpStats, server.OpStatsResp, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return f.Body, nil
-}
-
-// StatsJSON fetches the server's metrics snapshot as JSON bytes.
-func (c *Client) StatsJSON() ([]byte, error) { return c.StatsJSONCtx(context.Background()) }
-
-// StatsCtx fetches and decodes the server's metrics snapshot.
-func (c *Client) StatsCtx(ctx context.Context) (*metrics.Snapshot, error) {
-	raw, err := c.StatsJSONCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("client: stats snapshot: %w", err)
-	}
-	return &snap, nil
-}
-
-// Stats fetches and decodes the server's metrics snapshot.
-func (c *Client) Stats() (*metrics.Snapshot, error) { return c.StatsCtx(context.Background()) }

@@ -10,7 +10,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,7 +39,7 @@ func PoolRetries(n int) PoolOption {
 
 // PoolBackoff sets the failover backoff window (see WithBackoff).
 func PoolBackoff(base, max time.Duration) PoolOption {
-	return func(p *Pool) { p.boBase, p.boMax = base, max }
+	return func(p *Pool) { p.bo.base, p.bo.max = base, max }
 }
 
 // PoolSeed seeds the pool's backoff jitter and the per-backend client
@@ -137,10 +136,10 @@ type poolMetrics struct {
 // and the jittered health prober — lives in Backends; the Pool adds
 // round-robin selection and the failover retry loop.
 type Pool struct {
+	ops
 	bs         *Backends
 	retries    int
-	boBase     time.Duration
-	boMax      time.Duration
+	bo         backoff
 	attemptTO  time.Duration
 	probeEvery time.Duration
 	sleep      func(context.Context, time.Duration) error
@@ -154,9 +153,6 @@ type Pool struct {
 	reg        *metrics.Registry
 	met        poolMetrics
 	clientOpts []Option
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	mu     sync.Mutex
 	next   int // round-robin cursor
@@ -174,10 +170,10 @@ func NewPool(addrs []string, opts ...PoolOption) (*Pool, error) {
 	}
 	p := &Pool{
 		retries: 2,
-		boBase:  20 * time.Millisecond,
-		boMax:   2 * time.Second,
+		bo:      backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 		sleep:   sleepCtx,
 	}
+	p.ops.do = p.do
 	for _, o := range opts {
 		o(p)
 	}
@@ -193,7 +189,7 @@ func NewPool(addrs []string, opts ...PoolOption) (*Pool, error) {
 	if !p.seeded {
 		seed = time.Now().UnixNano()
 	}
-	p.rng = rand.New(rand.NewSource(seed))
+	p.bo.rng = rand.New(rand.NewSource(seed))
 	bs, err := NewBackends(addrs, BackendsConfig{
 		Seed:            seed,
 		Registry:        p.reg,
@@ -240,30 +236,6 @@ func (p *Pool) pick() (*backend, error) {
 	return nil, ErrNoBackend
 }
 
-// backoffFor mirrors Client.backoffFor for the pool's own loop.
-func (p *Pool) backoffFor(attempt int) time.Duration {
-	window := p.boBase
-	for i := 1; i < attempt && window < p.boMax; i++ {
-		window <<= 1
-	}
-	if window > p.boMax {
-		window = p.boMax
-	}
-	if window <= 0 {
-		return 0
-	}
-	p.rngMu.Lock()
-	d := time.Duration(p.rng.Int63n(int64(window)))
-	p.rngMu.Unlock()
-	if floor := window / 16; d < floor {
-		d = floor
-	}
-	if d < 100*time.Microsecond {
-		d = 100 * time.Microsecond
-	}
-	return d
-}
-
 // do runs one request with failover: each attempt goes to the next
 // healthy backend; transport failures feed that backend's breaker.
 // Non-idempotent requests (RELOAD) get exactly one attempt.
@@ -306,7 +278,7 @@ func (p *Pool) do(ctx context.Context, op, wantOp byte, body []byte, idempotent 
 			return server.Frame{}, err
 		}
 		p.met.retries.Inc()
-		if serr := p.sleep(ctx, p.backoffFor(attempts)); serr != nil {
+		if serr := p.sleep(ctx, p.bo.delay(attempts)); serr != nil {
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 	}
@@ -322,76 +294,6 @@ func (p *Pool) Close() error {
 		p.bs.Close()
 	})
 	return nil
-}
-
-// PingCtx probes one healthy backend.
-func (p *Pool) PingCtx(ctx context.Context) error {
-	_, err := p.do(ctx, server.OpPing, server.OpPong, nil, true)
-	return err
-}
-
-// Ping probes one healthy backend.
-func (p *Pool) Ping() error { return p.PingCtx(context.Background()) }
-
-// ScanCtx scans payload against the loaded rule set on one healthy
-// backend, failing over under the retry budget.
-func (p *Pool) ScanCtx(ctx context.Context, payload []byte) ([]server.RuleMatch, error) {
-	f, err := p.do(ctx, server.OpScan, server.OpMatches, payload, true)
-	if err != nil {
-		return nil, err
-	}
-	return server.DecodeMatches(f.Body)
-}
-
-// Scan scans payload against the loaded rule set.
-func (p *Pool) Scan(payload []byte) ([]server.RuleMatch, error) {
-	return p.ScanCtx(context.Background(), payload)
-}
-
-// CountCtx counts rule matches in payload.
-func (p *Pool) CountCtx(ctx context.Context, payload []byte) (uint64, error) {
-	f, err := p.do(ctx, server.OpCount, server.OpCountResp, payload, true)
-	if err != nil {
-		return 0, err
-	}
-	return server.DecodeCount(f.Body)
-}
-
-// Count counts rule matches in payload.
-func (p *Pool) Count(payload []byte) (uint64, error) {
-	return p.CountCtx(context.Background(), payload)
-}
-
-// ScanPatternCtx runs one ad-hoc pattern over payload.
-func (p *Pool) ScanPatternCtx(ctx context.Context, pattern string, payload []byte) ([]server.RuleMatch, error) {
-	body, err := server.EncodeScanPattern(pattern, payload)
-	if err != nil {
-		return nil, err
-	}
-	f, err := p.do(ctx, server.OpScanPattern, server.OpMatches, body, true)
-	if err != nil {
-		return nil, err
-	}
-	return server.DecodeMatches(f.Body)
-}
-
-// ScanPattern runs one ad-hoc pattern over payload.
-func (p *Pool) ScanPattern(pattern string, payload []byte) ([]server.RuleMatch, error) {
-	return p.ScanPatternCtx(context.Background(), pattern, payload)
-}
-
-// RulesInfoCtx describes one healthy backend's serving snapshot.
-func (p *Pool) RulesInfoCtx(ctx context.Context) (server.Info, error) {
-	f, err := p.do(ctx, server.OpRulesInfo, server.OpInfo, nil, true)
-	if err != nil {
-		return server.Info{}, err
-	}
-	return server.DecodeInfo(f.Body)
-}
-
-// RulesInfo describes one healthy backend's serving snapshot.
-func (p *Pool) RulesInfo() (server.Info, error) {
-	return p.RulesInfoCtx(context.Background())
 }
 
 // ReloadCtx hot-swaps the rule set on EVERY backend — a pool's
@@ -420,29 +322,3 @@ func (p *Pool) ReloadCtx(ctx context.Context, rulesText string) (generation, rul
 func (p *Pool) Reload(rulesText string) (generation, rules uint32, err error) {
 	return p.ReloadCtx(context.Background(), rulesText)
 }
-
-// StatsJSONCtx fetches one healthy backend's metrics snapshot (JSON).
-func (p *Pool) StatsJSONCtx(ctx context.Context) ([]byte, error) {
-	f, err := p.do(ctx, server.OpStats, server.OpStatsResp, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return f.Body, nil
-}
-
-// StatsCtx fetches and decodes one healthy backend's metrics
-// snapshot.
-func (p *Pool) StatsCtx(ctx context.Context) (*metrics.Snapshot, error) {
-	raw, err := p.StatsJSONCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("client: stats snapshot: %w", err)
-	}
-	return &snap, nil
-}
-
-// Stats fetches and decodes one healthy backend's metrics snapshot.
-func (p *Pool) Stats() (*metrics.Snapshot, error) { return p.StatsCtx(context.Background()) }

@@ -416,7 +416,7 @@ func EncodeTenant(h TenantHeader, innerOp byte, innerBody []byte) ([]byte, error
 	if len(h.Tenant) > MaxTenantName || len(h.Namespace) > MaxTenantName {
 		return nil, fmt.Errorf("%w: tenant header field exceeds %d bytes", ErrMalformedFrame, MaxTenantName)
 	}
-	if !queueClassOp(innerOp) {
+	if !QueueClass(innerOp) {
 		return nil, fmt.Errorf("%w: %s cannot carry a tenant header", ErrMalformedFrame, OpName(innerOp))
 	}
 	body := make([]byte, 0, 3+len(h.Tenant)+len(h.Namespace)+len(innerBody))
@@ -455,7 +455,7 @@ func DecodeTenant(body []byte) (h TenantHeader, innerOp byte, innerBody []byte, 
 	}
 	h.Namespace = string(rest[1 : 1+nlen])
 	innerOp = rest[1+nlen]
-	if !queueClassOp(innerOp) {
+	if !QueueClass(innerOp) {
 		return TenantHeader{}, 0, nil, fmt.Errorf("%w: tenant envelope wraps %s", ErrMalformedFrame, OpName(innerOp))
 	}
 	return h, innerOp, rest[1+nlen+1:], nil
@@ -475,8 +475,6 @@ func QueueClass(op byte) bool {
 	}
 	return false
 }
-
-func queueClassOp(op byte) bool { return QueueClass(op) }
 
 // PartialFlag bits of a MATCHES-PARTIAL body.
 const partialFlagPartial byte = 1 << 0

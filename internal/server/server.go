@@ -2,30 +2,24 @@
 // bounded admission queue feeding a worker pool, rule hot-reload by
 // atomic snapshot swap, and graceful drain.
 //
-// Admission control and backpressure: every connection reader parses
-// frames under a read deadline and a frame-size cap, answers the cheap
-// control requests (PING, RULES-INFO, STATS) inline, and hands scan
-// work to a bounded queue. A full queue yields an immediate SHED
+// Admission control and backpressure: the connection reader answers
+// the cheap control requests (PING, RULES-INFO, STATS) inline and hands
+// scan work to a bounded queue. A full queue yields an immediate SHED
 // response — the client learns it must back off; the server never
 // buffers unbounded work or blocks its readers. Workers execute scans
 // under the configured guardrail policy and per-request timeout, so
 // one adversarial payload cannot wedge a worker (the runaway trips the
 // cycle budget, the policy contains it, the worker moves on).
 //
-// Drain: Shutdown stops the accept loop, wakes every connection
-// reader, lets each connection's in-flight responses complete, then
-// retires the workers. No request that was admitted is dropped; no
-// goroutine outlives the drain (the leak-check tests pin this).
+// The listener lifecycle, the connection reader and writer and the
+// drain are the Shell's (shell.go); this file is what the scan server
+// adds: its dispatch, its queue and workers, and the scans themselves.
 package server
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,10 +29,6 @@ import (
 	"alveare/internal/core"
 	"alveare/internal/metrics"
 )
-
-// faultDrainTimeout bounds how long a reader spends discarding the
-// peer's leftover bytes after a framing fault before closing.
-const faultDrainTimeout = 500 * time.Millisecond
 
 // Config parameterises a Server. Zero values select the defaults.
 type Config struct {
@@ -159,8 +149,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is one scan service instance.
+// Server is one scan service instance: a Shell (listener, connections,
+// drain) around the scan queue and its workers.
 type Server struct {
+	*Shell
 	cfg  Config
 	opts []core.Option
 
@@ -170,48 +162,19 @@ type Server struct {
 	met    serverMetrics
 	reload sync.Mutex // serialises Reload's compile-and-swap
 
-	queue  chan *job
-	qdepth atomic.Int64
-
-	sessMu   sync.Mutex
-	sessions map[uint64]*session
-	sessNext uint64
-	sessStop chan struct{} // closed when the drain begins; stops the reaper
-
-	baseCtx context.Context
-	abort   context.CancelFunc // hard stop: cancels in-flight scans
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
-	closed   bool
-
-	stopOnce  sync.Once
-	stopped   chan struct{} // closed once the drain completes
-	wgConns   sync.WaitGroup
+	queue     chan *job
+	qdepth    atomic.Int64
+	sessions  *SessionTable[stream, *job]
 	wgWorkers sync.WaitGroup
 }
 
-// job is one admitted request awaiting a worker. Session frames carry
-// their session; a runner job (no frame of its own) drains one
-// session's FIFO in arrival order.
+// job is one admitted request awaiting a worker. A runner job (no frame
+// of its own) drains one session's FIFO in arrival order.
 type job struct {
-	c        *conn
+	c        *Conn
 	f        Frame
 	admitted time.Time
-	sess     *session
-	runner   bool
-}
-
-// conn is one accepted connection: frames are read by its reader
-// goroutine and responses written by workers under the write mutex, so
-// pipelined requests from one client interleave safely.
-type conn struct {
-	nc      net.Conn
-	wmu     sync.Mutex
-	pending sync.WaitGroup // admitted jobs not yet answered
-	broken  atomic.Bool    // a response write failed; drop the rest
+	runner   *session
 }
 
 // endpointMetrics is one request type's counter block.
@@ -236,11 +199,6 @@ type serverMetrics struct {
 
 	matches    *metrics.Counter
 	shed       *metrics.Counter
-	errs       *metrics.Counter
-	bytesIn    *metrics.Counter
-	bytesOut   *metrics.Counter
-	connsOpen  *metrics.Gauge
-	connsTotal *metrics.Counter
 	queueDepth *metrics.Gauge
 	queueHigh  *metrics.Gauge
 	reloads    *metrics.Counter
@@ -274,14 +232,9 @@ func resolveMetrics(r *metrics.Registry) serverMetrics {
 		sessActive:   r.Gauge("server.session.active"),
 		matches:      r.Counter("server.matches"),
 		shed:         r.Counter("server.shed"),
-		errs:         r.Counter("server.errors"),
-		bytesIn:      r.Counter("server.bytes.in"),
-		bytesOut:     r.Counter("server.bytes.out"),
-		connsOpen:    r.Gauge("server.conns.open"),
-		connsTotal:   r.Counter("server.conns.total"),
 		queueDepth:   r.Gauge("server.queue.depth"),
 		queueHigh:    r.Gauge("server.queue.highwater"),
-		reloads:      r.Counter("server.reloads"),
+		reloads:      r.Counter("server.reload.applied"),
 		generation:   r.Gauge("server.generation"),
 	}
 }
@@ -312,95 +265,53 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		opts:     opts,
-		cache:    newProgramCache(cfg.PatternCache),
-		reg:      reg,
-		met:      resolveMetrics(reg),
-		queue:    make(chan *job, cfg.QueueDepth),
-		baseCtx:  ctx,
-		abort:    cancel,
-		conns:    map[*conn]struct{}{},
-		sessions: map[uint64]*session{},
-		sessStop: make(chan struct{}),
-		stopped:  make(chan struct{}),
+		cfg:   cfg,
+		opts:  opts,
+		cache: newProgramCache(cfg.PatternCache),
+		reg:   reg,
+		met:   resolveMetrics(reg),
+		queue: make(chan *job, cfg.QueueDepth),
 	}
+	s.sessions = NewSessionTable(SessionConfig[stream, *job]{
+		Max:      cfg.MaxSessions,
+		Pending:  cfg.SessionPending,
+		Idle:     cfg.SessionIdleTimeout,
+		Schedule: s.scheduleSession,
+		Exec:     s.executeSession,
+		Active:   s.met.sessActive,
+		Reaped:   s.met.sessReaped,
+	})
+	s.Shell = NewShell(ShellConfig{
+		Name:         "server",
+		Addr:         cfg.Addr,
+		MaxFrame:     cfg.MaxFrame,
+		ReadTimeout:  cfg.ReadTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		Registry:     reg,
+		Start:        s.start,
+		Dispatch:     s.dispatch,
+		ConnClosed:   s.sessions.ConnClosed,
+		Drain: func() {
+			close(s.queue)
+			s.wgWorkers.Wait()
+		},
+	})
 	s.snap.Store(snap)
 	s.met.generation.Set(0)
 	return s, nil
 }
 
-// ListenAndServe listens on cfg.Addr and serves until Shutdown/Close.
-func (s *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the listener's address (the resolved port for ":0"
-// listeners), or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Serve runs the accept loop on ln until Shutdown or Close; it owns
-// the listener. The error is nil after a clean shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
+// start launches the worker pool and the session reaper.
+func (s *Server) start() {
+	s.wgWorkers.Add(s.cfg.Workers + 1)
 	for i := 0; i < s.cfg.Workers; i++ {
-		s.wgWorkers.Add(1)
 		go s.worker()
 	}
-	s.wgWorkers.Add(1)
-	go s.sessionReaper()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			stopping := s.draining || s.closed
-			s.mu.Unlock()
-			if stopping {
-				return nil
-			}
-			return err
-		}
-		c := &conn{nc: nc}
-		s.mu.Lock()
-		if s.draining || s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.met.connsTotal.Inc()
-		s.met.connsOpen.Set(int64(s.openConns()))
-		s.wgConns.Add(1)
-		go s.serveConn(c)
-	}
-}
-
-func (s *Server) openConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
+	go func() {
+		defer s.wgWorkers.Done()
+		s.sessions.Reap(s.Stopping())
+	}()
 }
 
 // Reload compiles patterns into a fresh snapshot and swaps it live.
@@ -441,199 +352,71 @@ func (s *Server) MetricsSnapshot() *metrics.Snapshot {
 	return s.reg.Snapshot()
 }
 
-// Shutdown drains the service: the listener closes, connection readers
-// wake and stop parsing new requests, every admitted request's
-// response is written, then workers retire. It returns nil on a clean
-// drain, or ctx's error after escalating to a hard Close when ctx
-// expires first.
-func (s *Server) Shutdown(ctx context.Context) error {
-	for _, c := range s.beginStop() {
-		// Wake every blocked reader; each drains its own pending
-		// responses before closing its socket.
-		c.nc.SetReadDeadline(time.Now())
-	}
-	s.ensureDrainLoop()
-	select {
-	case <-s.stopped:
-		return nil
-	case <-ctx.Done():
-		s.Close()
-		return ctx.Err()
-	}
-}
-
-// Close stops the service immediately: in-flight scans are cancelled,
-// connections closed. Prefer Shutdown.
-func (s *Server) Close() error {
-	conns := s.beginStop()
-	s.abort() // cancel in-flight scans
-	for _, c := range conns {
-		c.broken.Store(true)
-		c.nc.Close()
-	}
-	s.ensureDrainLoop()
-	<-s.stopped
-	return nil
-}
-
-// beginStop flips the server into draining, closes the listener, and
-// returns the open connections (idempotent; later calls return the
-// still-open set).
-func (s *Server) beginStop() []*conn {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	conns := make([]*conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	return conns
-}
-
-// ensureDrainLoop runs the terminal drain exactly once: wait for the
-// readers (the queue's only producers), close the queue, wait for the
-// workers, then mark the server stopped.
-func (s *Server) ensureDrainLoop() {
-	s.stopOnce.Do(func() {
-		go func() {
-			close(s.sessStop)
-			s.wgConns.Wait()
-			close(s.queue)
-			s.wgWorkers.Wait()
-			s.mu.Lock()
-			s.closed = true
-			s.mu.Unlock()
-			s.abort()
-			close(s.stopped)
-		}()
-	})
-}
-
-// isDraining reports whether Shutdown or Close has begun.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// serveConn is one connection's reader loop: parse a frame, answer
-// control requests inline, admit scan work to the queue. On exit it
-// waits for the connection's admitted jobs to be answered, then closes
-// the socket.
-func (s *Server) serveConn(c *conn) {
-	defer s.wgConns.Done()
-	defer func() {
-		c.pending.Wait()
-		// Every admitted frame is answered; now reap the connection's
-		// streaming sessions — their owner is gone, so their ids are
-		// dead (a reconnecting client must re-open and replay).
-		s.closeConnSessions(c)
-		c.nc.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.met.connsOpen.Set(int64(s.openConns()))
-	}()
-
-	for {
-		if s.isDraining() {
-			return
-		}
-		c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		f, err := ReadFrame(c.nc, s.cfg.MaxFrame)
-		if err != nil {
-			switch {
-			case errors.Is(err, io.EOF):
-				return // clean close
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				return // drain wake-up or idle timeout
-			case errors.Is(err, ErrFrameTooLarge), errors.Is(err, ErrMalformedFrame):
-				// The stream cannot be resynchronised after a framing
-				// fault; report and close. Closing with bytes of the bad
-				// frame still unread would turn into a TCP RST that can
-				// destroy the queued ERROR before the client reads it, so
-				// half-close and briefly drain the peer first (the same
-				// dance net/http does when rejecting a request early).
-				s.met.errs.Inc()
-				s.writeFrame(c, Frame{Op: OpError, Body: EncodeError(ErrCodeBadFrame, err.Error())})
-				if tc, ok := c.nc.(*net.TCPConn); ok {
-					tc.CloseWrite()
-				}
-				c.nc.SetReadDeadline(time.Now().Add(faultDrainTimeout))
-				io.Copy(io.Discard, io.LimitReader(c.nc, int64(s.cfg.MaxFrame)))
-				return
-			default:
-				return
-			}
-		}
-		s.met.bytesIn.Add(int64(frameHeader + len(f.Body)))
-		s.dispatch(c, f)
-	}
-}
-
 // dispatch routes one parsed request: control requests answer inline
 // on the reader goroutine (they never block on scan work); scan
 // requests pass admission control into the bounded queue.
-func (s *Server) dispatch(c *conn, f Frame) {
+func (s *Server) dispatch(c *Conn, f Frame) {
 	start := time.Now()
 	switch f.Op {
 	case OpPing:
 		s.met.ping.requests.Inc()
-		s.writeFrame(c, Frame{Op: OpPong, ID: f.ID})
+		c.WriteFrame(Frame{Op: OpPong, ID: f.ID})
 		s.met.ping.latency.Observe(time.Since(start).Microseconds())
 	case OpRulesInfo:
 		s.met.info.requests.Inc()
 		body, err := EncodeInfo(s.Info())
 		if err != nil {
-			s.replyErr(c, f.ID, ErrCodeBadFrame, err)
+			c.ReplyErr(f.ID, ErrCodeBadFrame, err)
 			return
 		}
-		s.writeFrame(c, Frame{Op: OpInfo, ID: f.ID, Body: body})
+		c.WriteFrame(Frame{Op: OpInfo, ID: f.ID, Body: body})
 		s.met.info.latency.Observe(time.Since(start).Microseconds())
 	case OpStats:
 		s.met.stats.requests.Inc()
 		var buf bytes.Buffer
 		if err := s.MetricsSnapshot().WriteJSON(&buf); err != nil {
-			s.replyErr(c, f.ID, ErrCodeScan, err)
+			c.ReplyErr(f.ID, ErrCodeScan, err)
 			return
 		}
-		s.writeFrame(c, Frame{Op: OpStatsResp, ID: f.ID, Body: buf.Bytes()})
+		c.WriteFrame(Frame{Op: OpStatsResp, ID: f.ID, Body: buf.Bytes()})
 		s.met.stats.latency.Observe(time.Since(start).Microseconds())
-	case OpSessionData, OpSessionClose:
-		// Session frames must execute in arrival order, one at a time:
-		// they join the session's FIFO, not the queue directly.
-		if s.isDraining() {
-			s.replyErr(c, f.ID, ErrCodeDraining, errors.New("server draining"))
-			return
-		}
-		s.dispatchSession(c, f, start)
-	case OpScan, OpCount, OpScanPattern, OpReload, OpScanBatch, OpSessionOpen, OpSessionRestore:
-		if s.isDraining() {
-			s.replyErr(c, f.ID, ErrCodeDraining, errors.New("server draining"))
-			return
-		}
-		j := &job{c: c, f: f, admitted: start}
-		c.pending.Add(1)
-		select {
-		case s.queue <- j:
-			d := s.qdepth.Add(1)
-			s.met.queueDepth.Set(d)
-			s.met.queueHigh.Max(d)
-		default:
-			// Queue full: shed immediately, never block the reader.
-			c.pending.Done()
-			s.met.shed.Inc()
-			s.writeFrame(c, Frame{Op: OpShed, ID: f.ID})
+	case OpScan, OpCount, OpScanPattern, OpReload, OpScanBatch, OpSessionOpen, OpSessionRestore,
+		OpSessionData, OpSessionClose:
+		switch {
+		case s.Draining():
+			c.ReplyErr(f.ID, ErrCodeDraining, errors.New("server draining"))
+		case f.Op == OpSessionData || f.Op == OpSessionClose:
+			// Session frames must execute in arrival order, one at a time:
+			// they join the session's FIFO, not the queue directly.
+			s.dispatchSession(c, f, start)
+		case !s.enqueue(&job{c: c, f: f, admitted: start}):
+			s.shed(c, f.ID)
 		}
 	default:
-		s.met.errs.Inc()
-		s.writeFrame(c, Frame{Op: OpError, ID: f.ID,
-			Body: EncodeError(ErrCodeBadFrame, "unknown opcode "+OpName(f.Op))})
+		c.ReplyErr(f.ID, ErrCodeBadFrame, errors.New("unknown opcode "+OpName(f.Op)))
 	}
+}
+
+// enqueue offers one job to the bounded queue. A full queue refuses
+// immediately — the caller sheds; a reader is never blocked.
+func (s *Server) enqueue(j *job) bool {
+	j.c.Pending.Add(1)
+	select {
+	case s.queue <- j:
+		d := s.qdepth.Add(1)
+		s.met.queueDepth.Set(d)
+		s.met.queueHigh.Max(d)
+		return true
+	default:
+		j.c.Pending.Done()
+		return false
+	}
+}
+
+// shed answers one request SHED and counts it.
+func (s *Server) shed(c *Conn, id uint32) {
+	s.met.shed.Inc()
+	c.WriteFrame(Frame{Op: OpShed, ID: id})
 }
 
 // worker executes admitted requests until the queue closes.
@@ -641,12 +424,12 @@ func (s *Server) worker() {
 	defer s.wgWorkers.Done()
 	for j := range s.queue {
 		s.met.queueDepth.Set(s.qdepth.Add(-1))
-		if j.runner {
-			s.runSession(j.sess)
+		if j.runner != nil {
+			s.sessions.Run(j.runner)
 		} else {
 			s.execute(j)
 		}
-		j.c.pending.Done()
+		j.c.Pending.Done()
 	}
 }
 
@@ -656,7 +439,7 @@ func (s *Server) execute(j *job) {
 	if s.cfg.ScanHook != nil {
 		s.cfg.ScanHook()
 	}
-	ctx := s.baseCtx
+	ctx := s.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -668,28 +451,28 @@ func (s *Server) execute(j *job) {
 		s.met.scan.bytes.Add(int64(len(j.f.Body)))
 		ms, err := s.scanSnapshot(ctx, j.f.Body)
 		if err != nil {
-			s.replyErr(j.c, j.f.ID, ErrCodeScan, err)
+			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
 			break
 		}
 		s.met.matches.Add(int64(len(ms)))
-		s.writeFrame(j.c, Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
+		j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
 		s.met.scan.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpCount:
 		s.met.count.requests.Inc()
 		s.met.count.bytes.Add(int64(len(j.f.Body)))
 		ms, err := s.scanSnapshot(ctx, j.f.Body)
 		if err != nil {
-			s.replyErr(j.c, j.f.ID, ErrCodeScan, err)
+			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
 			break
 		}
 		s.met.matches.Add(int64(len(ms)))
-		s.writeFrame(j.c, Frame{Op: OpCountResp, ID: j.f.ID, Body: EncodeCount(uint64(len(ms)))})
+		j.c.WriteFrame(Frame{Op: OpCountResp, ID: j.f.ID, Body: EncodeCount(uint64(len(ms)))})
 		s.met.count.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpScanPattern:
 		s.met.pattern.requests.Inc()
 		pattern, payload, err := DecodeScanPattern(j.f.Body)
 		if err != nil {
-			s.replyErr(j.c, j.f.ID, ErrCodeBadFrame, err)
+			j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 			break
 		}
 		s.met.pattern.bytes.Add(int64(len(payload)))
@@ -699,21 +482,21 @@ func (s *Server) execute(j *job) {
 			if !isScanFailure(err) {
 				code = ErrCodeCompile
 			}
-			s.replyErr(j.c, j.f.ID, code, err)
+			j.c.ReplyErr(j.f.ID, code, err)
 			break
 		}
 		s.met.matches.Add(int64(len(ms)))
-		s.writeFrame(j.c, Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
+		j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
 		s.met.pattern.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpReload:
 		s.met.reload.requests.Inc()
 		rules := ParseRules(string(j.f.Body))
 		gen, err := s.Reload(rules)
 		if err != nil {
-			s.replyErr(j.c, j.f.ID, ErrCodeCompile, err)
+			j.c.ReplyErr(j.f.ID, ErrCodeCompile, err)
 			break
 		}
-		s.writeFrame(j.c, Frame{Op: OpReloadOK, ID: j.f.ID, Body: EncodeReloadOK(gen, uint32(len(rules)))})
+		j.c.WriteFrame(Frame{Op: OpReloadOK, ID: j.f.ID, Body: EncodeReloadOK(gen, uint32(len(rules)))})
 		s.met.reload.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpScanBatch:
 		s.executeBatch(ctx, j)
@@ -756,33 +539,4 @@ func isScanFailure(err error) bool {
 	var se *core.ScanError
 	var ee *arch.ExecError
 	return errors.As(err, &se) || errors.As(err, &ee) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// replyErr writes an ERROR response and counts it.
-func (s *Server) replyErr(c *conn, id uint32, code byte, err error) {
-	s.met.errs.Inc()
-	s.writeFrame(c, Frame{Op: OpError, ID: id, Body: EncodeError(code, err.Error())})
-}
-
-// writeFrame serialises one response under the connection's write
-// mutex. A connection whose write failed is marked broken and closed;
-// later responses for it are dropped (their requests were answered as
-// far as the dead peer is concerned).
-func (s *Server) writeFrame(c *conn, f Frame) {
-	if c.broken.Load() {
-		return
-	}
-	c.wmu.Lock()
-	if s.cfg.WriteTimeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
-	err := WriteFrame(c.nc, f)
-	c.wmu.Unlock()
-	if err != nil {
-		if c.broken.CompareAndSwap(false, true) {
-			c.nc.Close()
-		}
-		return
-	}
-	s.met.bytesOut.Add(int64(frameHeader + len(f.Body)))
 }

@@ -38,31 +38,15 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
-// startServer builds a server on a loopback port and returns it with
-// its address. Cleanup shuts it down and waits for Serve to return.
+// startServer builds a server, serves it on a loopback port and
+// returns it with its address (cleanup as in serve).
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, ln.Addr().String()
+	return srv, serve(t, srv)
 }
 
 func dial(t *testing.T, addr string) *client.Client {
@@ -367,47 +351,41 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 // are mid-request must terminate promptly and leak nothing; clients
 // see connection errors, not hangs.
 func TestServerCloseUnderLoad(t *testing.T) {
-	defer leakCheck(t)()
-	srv, err := server.New(server.Config{
-		Rules:    []string{"foo"},
-		Workers:  2,
-		ScanHook: func() { time.Sleep(5 * time.Millisecond) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		srv := build(frontOpts{Workers: 2, ScanHook: func() { time.Sleep(5 * time.Millisecond) }})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := client.Dial(ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			for j := 0; j < 100; j++ {
-				if _, err := c.Scan([]byte("a foo b")); err != nil {
-					return // close tore the connection; that's the contract
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := client.Dial(ln.Addr().String())
+				if err != nil {
+					return
 				}
-			}
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	wg.Wait()
+				defer c.Close()
+				for j := 0; j < 100; j++ {
+					if _, err := c.Scan([]byte("a foo b")); err != nil {
+						return // close tore the connection; that's the contract
+					}
+				}
+			}()
+		}
+		time.Sleep(10 * time.Millisecond)
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		wg.Wait()
+	})
 }
 
 // TestServerPipelining issues concurrent mixed requests over ONE
@@ -492,32 +470,33 @@ func TestServerPatternCache(t *testing.T) {
 // limit on a raw socket: the server must answer ERROR and close the
 // connection without buffering the body.
 func TestServerRejectsOversizedFrame(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	_, addr := startServer(t, server.Config{Rules: []string{"zz"}, MaxFrame: 64})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := server.WriteFrame(nc, server.Frame{Op: server.OpScan, ID: 1, Body: make([]byte, 128)}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := server.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if f.Op != server.OpError {
-		t.Fatalf("got %s, want ERROR", server.OpName(f.Op))
-	}
-	code, _, err := server.DecodeError(f.Body)
-	if err != nil || code != server.ErrCodeBadFrame {
-		t.Fatalf("error code %d (%v), want bad-frame", code, err)
-	}
-	// The stream is unrecoverable; the server closes it.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := server.ReadFrame(nc, 0); err == nil {
-		t.Fatal("connection stayed open after framing fault")
-	}
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		addr := serve(t, build(frontOpts{MaxFrame: 64}))
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := server.WriteFrame(nc, server.Frame{Op: server.OpScan, ID: 1, Body: make([]byte, 128)}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := server.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		if f.Op != server.OpError {
+			t.Fatalf("got %s, want ERROR", server.OpName(f.Op))
+		}
+		code, _, err := server.DecodeError(f.Body)
+		if err != nil || code != server.ErrCodeBadFrame {
+			t.Fatalf("error code %d (%v), want bad-frame", code, err)
+		}
+		// The stream is unrecoverable; the server closes it.
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := server.ReadFrame(nc, 0); err == nil {
+			t.Fatal("connection stayed open after framing fault")
+		}
+	})
 }
 
 // TestServerBadFrameErrorDelivered pins the teardown after a framing
@@ -526,31 +505,32 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // non-empty receive queue becomes a TCP RST that would destroy the
 // queued response, so the server must drain before closing.
 func TestServerBadFrameErrorDelivered(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	_, addr := startServer(t, server.Config{Rules: []string{"zz"}})
-	for i := 0; i < 10; i++ {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		addr := serve(t, build(frontOpts{}))
+		for i := 0; i < 10; i++ {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// length=2 is malformed from the length field alone; the two
+			// trailing bytes land unread in the server's receive queue.
+			if _, err := nc.Write([]byte{0, 0, 0, 2, 0x01, 0x02}); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			f, err := server.ReadFrame(nc, 0)
+			if err != nil {
+				t.Fatalf("attempt %d: ERROR frame lost to connection teardown: %v", i, err)
+			}
+			if f.Op != server.OpError {
+				t.Fatalf("got %s, want ERROR", server.OpName(f.Op))
+			}
+			if code, _, err := server.DecodeError(f.Body); err != nil || code != server.ErrCodeBadFrame {
+				t.Fatalf("error code %d (%v), want bad-frame", code, err)
+			}
+			nc.Close()
 		}
-		// length=2 is malformed from the length field alone; the two
-		// trailing bytes land unread in the server's receive queue.
-		if _, err := nc.Write([]byte{0, 0, 0, 2, 0x01, 0x02}); err != nil {
-			t.Fatal(err)
-		}
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := server.ReadFrame(nc, 0)
-		if err != nil {
-			t.Fatalf("attempt %d: ERROR frame lost to connection teardown: %v", i, err)
-		}
-		if f.Op != server.OpError {
-			t.Fatalf("got %s, want ERROR", server.OpName(f.Op))
-		}
-		if code, _, err := server.DecodeError(f.Body); err != nil || code != server.ErrCodeBadFrame {
-			t.Fatalf("error code %d (%v), want bad-frame", code, err)
-		}
-		nc.Close()
-	}
+	})
 }
 
 // TestServerStats exercises the STATS endpoint end to end: the decoded

@@ -5,47 +5,31 @@
 // semantics to a local RuleSet.ScanReader, including matches that
 // straddle frame boundaries and fast-path gating across chunks.
 //
-// Ordering and concurrency: a session's frames must execute in arrival
-// order, one at a time (the stream state is sequential), but the
-// server must not dedicate a worker per session or let one session
-// block unrelated work. Each session therefore keeps a small FIFO of
-// its admitted frames and schedules at most one runner job into the
-// shared bounded queue; the runner drains the FIFO and retires. Admission
-// control is preserved end to end — a full queue or a full session
-// FIFO answers SHED, and an admitted frame is always answered (the
-// drain waits on the same per-connection accounting as every other
-// request).
-//
-// Lifecycle: a session is bound to the connection that opened it (no
-// cross-connection hijack; the conn's close reaps it), pinned to the
-// rule snapshot at open (a RELOAD never splits one flow across two
-// generations), bounded in memory (overlap tail + bounded FIFO of
-// frame-capped chunks), and reaped after SessionIdleTimeout without
-// traffic.
+// Ordering, admission and lifecycle (arrival-order FIFO with one runner
+// in the shared queue, owner binding, the session cap, idle reaping) are
+// the SessionTable's (sessions.go). What the server adds: a session is
+// pinned to the rule snapshot at open (a RELOAD never splits one flow
+// across two generations) and holds an overlap tail resident, which is
+// why the cap is a memory cap.
 package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"alveare/internal/core"
 )
 
-// session is one open streaming session.
-type session struct {
-	id    uint64
-	owner *conn
-	st    *core.Stream
-	ckpt  bool // piggyback a post-frame checkpoint on SESSION-MATCHES
-
-	mu      sync.Mutex
-	pending []*job // admitted frames awaiting the runner, FIFO
-	running bool   // a runner job is queued or draining the FIFO
-	closed  bool
-	last    time.Time // last activity, for idle reaping
+// stream is the server's per-session state.
+type stream struct {
+	st   *core.Stream
+	ckpt bool // piggyback a post-frame checkpoint on SESSION-MATCHES
 }
+
+// session is one open streaming session; its queued frames are jobs.
+type session = Session[stream, *job]
 
 // openSession executes an admitted SESSION-OPEN: allocate the session
 // against the current snapshot and reply SESSION-OK. The session limit
@@ -54,17 +38,13 @@ type session struct {
 func (s *Server) openSession(j *job) {
 	overlap, flags, err := DecodeSessionOpenFlags(j.f.Body)
 	if err != nil {
-		s.replyErr(j.c, j.f.ID, ErrCodeBadFrame, err)
+		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 		return
 	}
 	snap := s.snap.Load()
-	sess := &session{owner: j.c, st: snap.rules.NewStream(int(overlap)),
-		ckpt: flags&SessionOpenFlagCheckpoint != 0, last: time.Now()}
-	if !s.registerSession(j, sess) {
-		return
+	if s.registerSession(j, snap, snap.rules.NewStream(int(overlap)), flags) {
+		s.met.sessOpens.Inc()
 	}
-	s.met.sessOpens.Inc()
-	s.replySessionOK(j, sess, snap)
 }
 
 // restoreSession executes an admitted SESSION-RESTORE: rebuild the
@@ -76,160 +56,89 @@ func (s *Server) openSession(j *job) {
 func (s *Server) restoreSession(j *job) {
 	flags, ckpt, err := DecodeSessionRestore(j.f.Body)
 	if err != nil {
-		s.replyErr(j.c, j.f.ID, ErrCodeBadFrame, err)
+		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 		return
 	}
 	snap := s.snap.Load()
 	st, err := snap.rules.RestoreStream(ckpt)
 	if err != nil {
-		s.replyErr(j.c, j.f.ID, ErrCodeBadFrame, err)
+		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 		return
 	}
 	if st.Overlap() > MaxSessionOverlap {
-		s.replyErr(j.c, j.f.ID, ErrCodeBadFrame,
+		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame,
 			fmt.Errorf("%w: checkpoint overlap %d exceeds %d", ErrMalformedFrame, st.Overlap(), MaxSessionOverlap))
 		return
 	}
-	sess := &session{owner: j.c, st: st,
-		ckpt: flags&SessionOpenFlagCheckpoint != 0, last: time.Now()}
-	if !s.registerSession(j, sess) {
-		return
+	if s.registerSession(j, snap, st, flags) {
+		s.met.sessRestores.Inc()
 	}
-	s.met.sessRestores.Inc()
-	s.replySessionOK(j, sess, snap)
 }
 
-// registerSession installs a freshly built session in the registry,
-// shedding at the MaxSessions cap (an authoritative refusal before any
-// state escaped — safe to retry after backoff).
-func (s *Server) registerSession(j *job, sess *session) bool {
-	s.sessMu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.sessMu.Unlock()
-		s.met.shed.Inc()
-		s.writeFrame(j.c, Frame{Op: OpShed, ID: j.f.ID})
+// registerSession installs a freshly built stream in the table and
+// answers SESSION-OK: the plain 12-byte form, or the extended form
+// carrying the rule generation when the caller negotiated checkpoints
+// (the generation is the failover fence — a checkpoint may only be
+// restored under the generation it was exported under). At the
+// MaxSessions cap it sheds instead — an authoritative refusal before
+// any state escaped, safe to retry after backoff.
+func (s *Server) registerSession(j *job, snap *snapshot, st *core.Stream, flags byte) bool {
+	sess := s.sessions.Open(j.c, stream{st: st, ckpt: flags&SessionOpenFlagCheckpoint != 0})
+	if sess == nil {
+		s.shed(j.c, j.f.ID)
 		return false
 	}
-	s.sessNext++
-	sess.id = s.sessNext
-	s.sessions[sess.id] = sess
-	active := len(s.sessions)
-	s.sessMu.Unlock()
-	s.met.sessActive.Set(int64(active))
+	body := EncodeSessionOK(sess.ID, uint32(st.Overlap()))
+	if sess.State.ckpt {
+		body = EncodeSessionOKGen(sess.ID, uint32(st.Overlap()), snap.generation)
+	}
+	j.c.WriteFrame(Frame{Op: OpSessionOK, ID: j.f.ID, Body: body})
 	return true
 }
 
-// replySessionOK answers an open or restore: the plain 12-byte form,
-// or the extended form carrying the rule generation when the caller
-// negotiated checkpoints (the generation is the failover fence — a
-// checkpoint may only be restored under the generation it was exported
-// under).
-func (s *Server) replySessionOK(j *job, sess *session, snap *snapshot) {
-	body := EncodeSessionOK(sess.id, uint32(sess.st.Overlap()))
-	if sess.ckpt {
-		body = EncodeSessionOKGen(sess.id, uint32(sess.st.Overlap()), snap.generation)
-	}
-	s.writeFrame(j.c, Frame{Op: OpSessionOK, ID: j.f.ID, Body: body})
-}
-
 // dispatchSession admits one SESSION-DATA/SESSION-CLOSE frame on the
-// reader goroutine: look the session up, append the frame to its FIFO,
-// and schedule a runner into the bounded queue if none is active. A
-// full FIFO or a full queue answers SHED — the frame was not absorbed
-// into the stream, so the client may resend the same chunk after
-// backoff without corrupting the flow.
-func (s *Server) dispatchSession(c *conn, f Frame, start time.Time) {
+// reader goroutine. A full FIFO or a full queue answers SHED — the
+// frame was not absorbed into the stream, so the client may resend the
+// same chunk after backoff without corrupting the flow.
+func (s *Server) dispatchSession(c *Conn, f Frame, start time.Time) {
 	if len(f.Body) < sessionIDLen {
-		s.replyErr(c, f.ID, ErrCodeBadFrame,
+		c.ReplyErr(f.ID, ErrCodeBadFrame,
 			fmt.Errorf("%w: %s body %d bytes", ErrMalformedFrame, OpName(f.Op), len(f.Body)))
 		return
 	}
-	var id uint64
-	for _, b := range f.Body[:sessionIDLen] {
-		id = id<<8 | uint64(b)
+	id := binary.BigEndian.Uint64(f.Body)
+	verdict := SessionGone
+	if sess := s.sessions.Lookup(c, id); sess != nil {
+		verdict = s.sessions.Push(sess, &job{c: c, f: f, admitted: start})
 	}
-	s.sessMu.Lock()
-	sess := s.sessions[id]
-	s.sessMu.Unlock()
-	// The owner check makes a session id useless off its connection: a
-	// stray or hostile frame cannot read another flow's matches or
-	// corrupt its carry state.
-	if sess == nil || sess.owner != c {
-		s.replyErr(c, f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", id))
-		return
+	switch verdict {
+	case SessionGone:
+		c.ReplyErr(f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", id))
+	case SessionShed:
+		s.shed(c, f.ID)
 	}
-	j := &job{c: c, f: f, admitted: start, sess: sess}
-	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		s.replyErr(c, f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", id))
-		return
-	}
-	if len(sess.pending) >= s.cfg.SessionPending {
-		sess.mu.Unlock()
-		s.met.shed.Inc()
-		s.writeFrame(c, Frame{Op: OpShed, ID: f.ID})
-		return
-	}
-	c.pending.Add(1)
-	sess.pending = append(sess.pending, j)
-	if !sess.running {
-		runner := &job{c: c, sess: sess, runner: true}
-		select {
-		case s.queue <- runner:
-			c.pending.Add(1)
-			sess.running = true
-			d := s.qdepth.Add(1)
-			s.met.queueDepth.Set(d)
-			s.met.queueHigh.Max(d)
-		default:
-			sess.pending = sess.pending[:len(sess.pending)-1]
-			sess.mu.Unlock()
-			c.pending.Done()
-			s.met.shed.Inc()
-			s.writeFrame(c, Frame{Op: OpShed, ID: f.ID})
-			return
-		}
-	}
-	sess.mu.Unlock()
 }
 
-// runSession drains one session's FIFO in arrival order. It holds one
-// worker while frames are queued, then retires; the next frame
-// schedules a fresh runner. Frames that raced in behind a CLOSE are
-// answered unknown-session.
-func (s *Server) runSession(sess *session) {
-	for {
-		sess.mu.Lock()
-		if len(sess.pending) == 0 {
-			sess.running = false
-			sess.last = time.Now()
-			sess.mu.Unlock()
-			return
-		}
-		j := sess.pending[0]
-		sess.pending = sess.pending[1:]
-		closed := sess.closed
-		sess.mu.Unlock()
-		if closed {
-			s.replyErr(j.c, j.f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", sess.id))
-		} else {
-			s.executeSession(sess, j)
-		}
-		j.c.pending.Done()
-	}
+// scheduleSession places sess's runner in the scan queue.
+func (s *Server) scheduleSession(sess *session) bool {
+	return s.enqueue(&job{c: sess.Owner, runner: sess})
 }
 
 // executeSession runs one admitted session frame under the per-request
 // timeout and writes its response. A scan fault (guardrail, timeout,
 // cancellation) is terminal: the carry state past it is unreliable, so
 // the session closes and the client must re-open — it can never
-// silently lose or duplicate matches across the fault.
-func (s *Server) executeSession(sess *session, j *job) {
+// silently lose or duplicate matches across the fault. Frames that
+// raced in behind the close are answered unknown-session.
+func (s *Server) executeSession(sess *session, j *job, closed bool) {
+	if closed {
+		j.c.ReplyErr(j.f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", sess.ID))
+		return
+	}
 	if s.cfg.ScanHook != nil {
 		s.cfg.ScanHook()
 	}
-	ctx := s.baseCtx
+	ctx := s.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -240,129 +149,49 @@ func (s *Server) executeSession(sess *session, j *job) {
 		ms = append(ms, RuleMatch{Rule: uint32(rule), Start: uint64(m.Start), End: uint64(m.End)})
 		return true
 	}
+	st := sess.State.st
 	switch j.f.Op {
 	case OpSessionData:
 		chunk := j.f.Body[sessionIDLen:]
 		s.met.sessData.requests.Inc()
 		s.met.sessData.bytes.Add(int64(len(chunk)))
-		if _, err := sess.st.PushCtx(ctx, chunk, emit); err != nil {
-			s.closeSession(sess)
-			s.replyErr(j.c, j.f.ID, ErrCodeScan, err)
+		if _, err := st.PushCtx(ctx, chunk, emit); err != nil {
+			s.sessions.Close(sess)
+			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
 			return
 		}
 		s.met.matches.Add(int64(len(ms)))
 		var ckpt []byte
-		if sess.ckpt {
+		if sess.State.ckpt {
 			// Post-frame carry state, exactly what SESSION-RESTORE
 			// accepts: a relay holding this can move the session to a
 			// replica after losing this shard.
-			ckpt = sess.st.Export()
+			ckpt = st.Export()
 		}
-		s.writeFrame(j.c, Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatchesCkpt(false, uint64(sess.st.Consumed()), ms, ckpt)})
+		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
+			Body: EncodeSessionMatchesCkpt(false, uint64(st.Consumed()), ms, ckpt)})
 		s.met.sessData.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpSessionClose:
 		if len(j.f.Body) != sessionIDLen {
-			s.replyErr(j.c, j.f.ID, ErrCodeBadFrame,
+			j.c.ReplyErr(j.f.ID, ErrCodeBadFrame,
 				fmt.Errorf("%w: session-close body %d bytes", ErrMalformedFrame, len(j.f.Body)))
 			return
 		}
-		_, err := sess.st.FinishCtx(ctx, emit)
-		s.closeSession(sess)
+		_, err := st.FinishCtx(ctx, emit)
+		s.sessions.Close(sess)
 		s.met.sessCloses.Inc()
 		if err != nil {
-			s.replyErr(j.c, j.f.ID, ErrCodeScan, err)
+			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
 			return
 		}
 		s.met.matches.Add(int64(len(ms)))
-		s.writeFrame(j.c, Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatches(true, uint64(sess.st.Consumed()), ms)})
-	}
-}
-
-// closeSession marks the session closed and drops it from the
-// registry. Idempotent; pending frames answer unknown-session.
-func (s *Server) closeSession(sess *session) {
-	sess.mu.Lock()
-	was := sess.closed
-	sess.closed = true
-	sess.mu.Unlock()
-	if was {
-		return
-	}
-	s.sessMu.Lock()
-	delete(s.sessions, sess.id)
-	active := len(s.sessions)
-	s.sessMu.Unlock()
-	s.met.sessActive.Set(int64(active))
-}
-
-// closeConnSessions reaps every session the closing connection owns.
-// It runs after the connection's admitted jobs were answered, so no
-// runner can still be draining these sessions.
-func (s *Server) closeConnSessions(c *conn) {
-	s.sessMu.Lock()
-	var own []*session
-	for _, sess := range s.sessions {
-		if sess.owner == c {
-			own = append(own, sess)
-		}
-	}
-	s.sessMu.Unlock()
-	for _, sess := range own {
-		s.closeSession(sess)
-	}
-}
-
-// sessionReaper closes sessions idle past SessionIdleTimeout — an
-// abandoned flow (a client that died without SESSION-CLOSE on a
-// connection that stays up) must not hold registry slots and overlap
-// memory forever.
-func (s *Server) sessionReaper() {
-	defer s.wgWorkers.Done()
-	sweep := s.cfg.SessionIdleTimeout / 4
-	if sweep <= 0 {
-		sweep = time.Second
-	}
-	t := time.NewTicker(sweep)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.sessStop:
-			return
-		case <-t.C:
-			s.reapIdleSessions(time.Now())
-		}
-	}
-}
-
-// reapIdleSessions closes sessions whose last activity predates the
-// idle timeout. A session with queued frames or an active runner is
-// never reaped — only truly idle ones.
-func (s *Server) reapIdleSessions(now time.Time) {
-	s.sessMu.Lock()
-	var idle []*session
-	for _, sess := range s.sessions {
-		sess.mu.Lock()
-		if !sess.running && len(sess.pending) == 0 && !sess.closed &&
-			now.Sub(sess.last) > s.cfg.SessionIdleTimeout {
-			idle = append(idle, sess)
-		}
-		sess.mu.Unlock()
-	}
-	s.sessMu.Unlock()
-	for _, sess := range idle {
-		s.closeSession(sess)
-		s.met.sessReaped.Inc()
+		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
+			Body: EncodeSessionMatches(true, uint64(st.Consumed()), ms)})
 	}
 }
 
 // SessionCount reports the open-session count (tests and diagnostics).
-func (s *Server) SessionCount() int {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return len(s.sessions)
-}
+func (s *Server) SessionCount() int { return s.sessions.Count() }
 
 // executeBatch runs one admitted SCAN-BATCH: every item scanned
 // against one snapshot capture (a concurrent RELOAD never splits a
@@ -371,7 +200,7 @@ func (s *Server) SessionCount() int {
 func (s *Server) executeBatch(ctx context.Context, j *job) {
 	items, err := DecodeScanBatch(j.f.Body)
 	if err != nil {
-		s.replyErr(j.c, j.f.ID, ErrCodeBadFrame, err)
+		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 		return
 	}
 	s.met.batch.requests.Inc()
@@ -390,7 +219,7 @@ func (s *Server) executeBatch(ctx context.Context, j *job) {
 		matched += int64(len(out))
 	}
 	s.met.matches.Add(matched)
-	s.writeFrame(j.c, Frame{Op: OpBatchResp, ID: j.f.ID, Body: EncodeBatchResults(results)})
+	j.c.WriteFrame(Frame{Op: OpBatchResp, ID: j.f.ID, Body: EncodeBatchResults(results)})
 	s.met.batch.latency.Observe(time.Since(j.admitted).Microseconds())
 }
 

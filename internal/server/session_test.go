@@ -244,106 +244,112 @@ func TestServerSessionUnknownID(t *testing.T) {
 // connection that opened it — another connection presenting the same
 // id gets unknown-session, never the other flow's state.
 func TestServerSessionCrossConnRejected(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	_, addr := startServer(t, server.Config{Rules: streamRules})
-	c := dial(t, addr)
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer nc.Close()
-	if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 9,
-		Body: server.EncodeSessionData(sess.ID(), []byte("abc"))}); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	f, err := server.ReadFrame(nc, server.DefaultMaxFrame)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	code, _, _ := server.DecodeError(f.Body)
-	if f.Op != server.OpError || code != server.ErrCodeUnknownSession {
-		t.Fatalf("cross-conn data answered %s code %d, want ERROR/unknown-session", server.OpName(f.Op), code)
-	}
-	// The rightful owner is unaffected.
-	if _, _, err := sess.Write([]byte("needle")); err != nil {
-		t.Fatalf("owner Write after hijack attempt: %v", err)
-	}
-	if _, _, err := sess.Close(); err != nil {
-		t.Fatalf("owner Close: %v", err)
-	}
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		addr := serve(t, build(frontOpts{}))
+		c := dial(t, addr)
+		sess, err := c.OpenSession(0)
+		if err != nil {
+			t.Fatalf("OpenSession: %v", err)
+		}
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 9,
+			Body: server.EncodeSessionData(sess.ID(), []byte("abc"))}); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		f, err := server.ReadFrame(nc, server.DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		code, _, _ := server.DecodeError(f.Body)
+		if f.Op != server.OpError || code != server.ErrCodeUnknownSession {
+			t.Fatalf("cross-conn data answered %s code %d, want ERROR/unknown-session", server.OpName(f.Op), code)
+		}
+		// The rightful owner is unaffected.
+		if _, _, err := sess.Write([]byte("needle")); err != nil {
+			t.Fatalf("owner Write after hijack attempt: %v", err)
+		}
+		if _, _, err := sess.Close(); err != nil {
+			t.Fatalf("owner Close: %v", err)
+		}
+	})
 }
 
 // TestServerSessionLimit: MaxSessions is a hard cap answered with SHED
 // (retryable after backoff), and closing a session frees its slot.
 func TestServerSessionLimit(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	_, addr := startServer(t, server.Config{Rules: streamRules, MaxSessions: 1})
-	c := dial(t, addr)
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	if _, err := c.OpenSession(0); !errors.Is(err, client.ErrShed) {
-		t.Fatalf("second open err = %v, want ErrShed", err)
-	}
-	if _, _, err := sess.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	sess2, err := c.OpenSession(0)
-	if err != nil {
-		t.Fatalf("open after close: %v", err)
-	}
-	sess2.Close()
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		addr := serve(t, build(frontOpts{MaxSessions: 1}))
+		c := dial(t, addr)
+		sess, err := c.OpenSession(0)
+		if err != nil {
+			t.Fatalf("OpenSession: %v", err)
+		}
+		if _, err := c.OpenSession(0); !errors.Is(err, client.ErrShed) {
+			t.Fatalf("second open err = %v, want ErrShed", err)
+		}
+		if _, _, err := sess.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		sess2, err := c.OpenSession(0)
+		if err != nil {
+			t.Fatalf("open after close: %v", err)
+		}
+		sess2.Close()
+	})
 }
 
 // TestServerSessionIdleReap: an abandoned session is reaped after the
 // idle timeout and its id answers unknown-session afterwards.
 func TestServerSessionIdleReap(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	srv, addr := startServer(t, server.Config{Rules: streamRules, SessionIdleTimeout: 50 * time.Millisecond})
-	c := dial(t, addr)
-	sess, err := c.OpenSession(0)
-	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.SessionCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("session not reaped; count = %d", srv.SessionCount())
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		srv := build(frontOpts{SessionIdleTimeout: 50 * time.Millisecond})
+		addr := serve(t, srv)
+		c := dial(t, addr)
+		sess, err := c.OpenSession(0)
+		if err != nil {
+			t.Fatalf("OpenSession: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_, _, err = sess.Write([]byte("abc"))
-	var se *client.ServerError
-	if !errors.As(err, &se) || se.Code != server.ErrCodeUnknownSession {
-		t.Fatalf("write after reap err = %v, want unknown-session", err)
-	}
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.SessionCount() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("session not reaped; count = %d", srv.SessionCount())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		_, _, err = sess.Write([]byte("abc"))
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != server.ErrCodeUnknownSession {
+			t.Fatalf("write after reap err = %v, want unknown-session", err)
+		}
+	})
 }
 
 // TestServerSessionConnCloseReaps: the owner connection going away
 // reaps its sessions — no leak from clients that die mid-stream.
 func TestServerSessionConnCloseReaps(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	srv, addr := startServer(t, server.Config{Rules: streamRules})
-	c := dial(t, addr)
-	if _, err := c.OpenSession(0); err != nil {
-		t.Fatalf("OpenSession: %v", err)
-	}
-	if n := srv.SessionCount(); n != 1 {
-		t.Fatalf("SessionCount = %d, want 1", n)
-	}
-	c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.SessionCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("session survived its connection; count = %d", srv.SessionCount())
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		srv := build(frontOpts{})
+		addr := serve(t, srv)
+		c := dial(t, addr)
+		if _, err := c.OpenSession(0); err != nil {
+			t.Fatalf("OpenSession: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		if n := srv.SessionCount(); n != 1 {
+			t.Fatalf("SessionCount = %d, want 1", n)
+		}
+		c.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.SessionCount() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("session survived its connection; count = %d", srv.SessionCount())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // TestServerSessionPipelinedFIFO pipelines many DATA frames without
@@ -436,56 +442,57 @@ func TestServerSessionPipelinedFIFO(t *testing.T) {
 // once the pipelined backlog exceeds SessionPending — per-session
 // memory stays bounded no matter how fast the client pushes.
 func TestServerSessionPendingSheds(t *testing.T) {
-	t.Cleanup(leakCheck(t))
-	release := make(chan struct{})
-	var hooked sync.Once
-	started := make(chan struct{})
-	var block atomic.Bool // armed after OPEN so only DATA frames stall
-	_, addr := startServer(t, server.Config{
-		Rules: streamRules, Workers: 1, SessionPending: 2,
-		ScanHook: func() {
-			if !block.Load() {
-				return
-			}
-			hooked.Do(func() { close(started) })
-			<-release
-		},
-	})
-	defer close(release)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer nc.Close()
-	if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionOpen, ID: 1,
-		Body: server.EncodeSessionOpen(0)}); err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	f, _ := server.ReadFrame(nc, server.DefaultMaxFrame)
-	sid, _, err := server.DecodeSessionOK(f.Body)
-	if err != nil {
-		t.Fatalf("DecodeSessionOK: %v", err)
-	}
-	block.Store(true)
-	// First data frame occupies the lone worker (ScanHook blocks).
-	server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 2,
-		Body: server.EncodeSessionData(sid, []byte("abc"))})
-	<-started
-	// The FIFO now absorbs SessionPending frames; the next must shed.
-	sawShed := false
-	for i := uint32(0); i < 8 && !sawShed; i++ {
-		server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 3 + i,
-			Body: server.EncodeSessionData(sid, []byte("abc"))})
-		nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		f, err := server.ReadFrame(nc, server.DefaultMaxFrame)
-		if err == nil && f.Op == server.OpShed {
-			sawShed = true
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		release := make(chan struct{})
+		var hooked sync.Once
+		started := make(chan struct{})
+		var block atomic.Bool // armed after OPEN so only DATA frames stall
+		addr := serve(t, build(frontOpts{
+			Workers: 1, SessionPending: 2,
+			ScanHook: func() {
+				if !block.Load() {
+					return
+				}
+				hooked.Do(func() { close(started) })
+				<-release
+			},
+		}))
+		defer close(release)
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
 		}
-	}
-	nc.SetReadDeadline(time.Time{})
-	if !sawShed {
-		t.Fatal("pipelined past SessionPending without a SHED")
-	}
+		defer nc.Close()
+		if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionOpen, ID: 1,
+			Body: server.EncodeSessionOpen(0)}); err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		f, _ := server.ReadFrame(nc, server.DefaultMaxFrame)
+		sid, _, err := server.DecodeSessionOK(f.Body)
+		if err != nil {
+			t.Fatalf("DecodeSessionOK: %v", err)
+		}
+		block.Store(true)
+		// First data frame occupies the lone worker (ScanHook blocks).
+		server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 2,
+			Body: server.EncodeSessionData(sid, []byte("abc"))})
+		<-started
+		// The FIFO now absorbs SessionPending frames; the next must shed.
+		sawShed := false
+		for i := uint32(0); i < 8 && !sawShed; i++ {
+			server.WriteFrame(nc, server.Frame{Op: server.OpSessionData, ID: 3 + i,
+				Body: server.EncodeSessionData(sid, []byte("abc"))})
+			nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+			f, err := server.ReadFrame(nc, server.DefaultMaxFrame)
+			if err == nil && f.Op == server.OpShed {
+				sawShed = true
+			}
+		}
+		nc.SetReadDeadline(time.Time{})
+		if !sawShed {
+			t.Fatal("pipelined past SessionPending without a SHED")
+		}
+	})
 }
 
 // TestServerSessionDraining: session traffic during a drain answers
