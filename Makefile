@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck layercheck loc benchmark benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchcheck layercheck loc benchmark benchpair benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,17 @@ loc:
 BENCH_FLAGS ?=
 benchmark:
 	bash benchmark/run.sh $(BENCH_FLAGS)
+
+## benchpair: what a perf PR measures itself with — PAIRS alternated
+## runs of PARENT's benchmark and this checkout's, same seeds (2025 …),
+## then `--compare` and the per-pair win count (scripts/benchpair.sh).
+## `make benchpair PARENT=HEAD~1 WORKLOADS="srv-records" SECONDS=24`.
+## Not part of `check`: nothing timed runs in CI.
+PAIRS     ?= 10
+WORKLOADS ?= lib-screened gw-scan srv-records gw-session
+SECONDS   ?= 24
+benchpair:
+	PARENT="$(PARENT)" PAIRS="$(PAIRS)" WORKLOADS="$(WORKLOADS)" WINDOW="$(SECONDS)" bash scripts/benchpair.sh
 
 ## difftest: the three-way differential battery under -race — the
 ## lazy-DFA fast path, the exact slow path and Go's regexp (plus the

@@ -252,10 +252,12 @@ func CompileWith(re string, opt CompilerOptions) (*Program, error) {
 }
 
 // RuleSet is a compiled multi-pattern database, the deployment unit of
-// DPI-style workloads. Scans dispatch rules to a bounded worker pool
-// (WithWorkers) over pooled per-rule cores, and FirstMatch probes on
-// borrowed cores too, so one RuleSet serves concurrent callers of every
-// method; each rule is compiled once and no per-rule Engine exists.
+// DPI-style workloads. A scan fans its input out over the rules on
+// pooled per-rule lanes — on the caller's goroutine, joined by helpers
+// (WithWorkers bounds the width) only for large inputs — and FirstMatch
+// probes on borrowed lanes too, so one RuleSet serves concurrent callers
+// of every method; each rule is compiled once and no per-rule Engine
+// exists.
 type RuleSet = core.RuleSet
 
 // RuleMatches reports one rule's hits in a scanned stream.

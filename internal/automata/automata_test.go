@@ -299,7 +299,7 @@ func TestStateSetOps(t *testing.T) {
 	}
 	c := NewStateSet(128)
 	c.CopyFrom(a)
-	if !c.Equal(a) || c.Key() != a.Key() {
+	if !c.Equal(a) || string(c.AppendKey(nil)) != string(a.AppendKey(nil)) {
 		t.Error("CopyFrom/Equal/Key wrong")
 	}
 	c.Clear()

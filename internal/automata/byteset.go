@@ -1,6 +1,9 @@
 package automata
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // ByteSet is a 256-bit set of byte values, the transition label of a
 // consuming NFA state.
@@ -117,14 +120,13 @@ func (s *StateSet) Equal(o *StateSet) bool {
 	return true
 }
 
-// Key returns a comparable string key of the set contents, used by the
-// subset construction's dedup map.
-func (s *StateSet) Key() string {
-	b := make([]byte, 8*len(s.words))
-	for i, w := range s.words {
-		for j := 0; j < 8; j++ {
-			b[8*i+j] = byte(w >> (8 * j))
-		}
+// AppendKey appends the set's contents to b as the bytes of a comparable
+// key — the subset construction's dedup maps look up
+// index[string(key)], which allocates nothing on a hit, and materialise
+// the string only to insert.
+func (s *StateSet) AppendKey(b []byte) []byte {
+	for _, w := range s.words {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return string(b)
+	return b
 }

@@ -100,16 +100,17 @@ func Determinize(n *NFA, maxStates int) (*DFA, error) {
 	index := map[string]int32{}
 	var subsets []*StateSet
 
+	var key []byte // reused across lookups
 	intern := func(s *StateSet) int32 {
-		k := s.Key()
-		if id, ok := index[k]; ok {
+		key = s.AppendKey(key[:0])
+		if id, ok := index[string(key)]; ok {
 			return id
 		}
 		id := int32(len(subsets))
 		cp := NewStateSet(len(n.States))
 		cp.CopyFrom(s)
 		subsets = append(subsets, cp)
-		index[k] = id
+		index[string(key)] = id
 		d.Accept = append(d.Accept, s.Has(n.Accept))
 		return id
 	}

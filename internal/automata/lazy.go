@@ -141,6 +141,7 @@ type LazyDFA struct {
 	index   map[string]int32
 
 	scratch *StateSet // successor-subset workspace
+	key     []byte    // index-key workspace (StateSet.AppendKey)
 	stats   LazyStats
 }
 
@@ -181,15 +182,15 @@ func (d *LazyDFA) TakeStats() LazyStats {
 // intern returns the id of subset s, adding it to the cache if new.
 // The caller must ensure the cache has room.
 func (d *LazyDFA) intern(s *StateSet) int32 {
-	k := s.Key()
-	if id, ok := d.index[k]; ok {
+	d.key = s.AppendKey(d.key[:0])
+	if id, ok := d.index[string(d.key)]; ok {
 		return id
 	}
 	id := int32(len(d.subsets))
 	cp := NewStateSet(len(d.p.nfa.States))
 	cp.CopyFrom(s)
 	d.subsets = append(d.subsets, cp)
-	d.index[k] = id
+	d.index[string(d.key)] = id
 	d.accept = append(d.accept, s.Has(d.p.nfa.Accept))
 	row := make([]int32, d.p.numClasses)
 	for i := range row {
@@ -230,7 +231,8 @@ func (d *LazyDFA) step(s int32, cls int, canFlush bool) (cur, next int32, flushe
 		}
 	})
 	d.scratch.Or(p.start) // unanchored: re-inject the start closure
-	if id, found := d.index[d.scratch.Key()]; found {
+	d.key = d.scratch.AppendKey(d.key[:0])
+	if id, found := d.index[string(d.key)]; found {
 		d.trans[int(s)*p.numClasses+cls] = id
 		return s, id, false, true
 	}

@@ -71,15 +71,16 @@ func TestScanErrForLiftsOffsets(t *testing.T) {
 	}
 }
 
-// TestRuleSetPanicIsolation corrupts one rule's core pool so that
-// borrowing a core panics, and asserts the panic is recovered into
-// that rule's Err slot without disturbing its neighbours.
+// TestRuleSetPanicIsolation corrupts one rule's lane pool so that
+// borrowing a lane panics, and asserts the panic is recovered into
+// that rule's Err slot without disturbing its neighbours; then lets a
+// scan panic on a borrowed lane and asserts the lane is abandoned.
 func TestRuleSetPanicIsolation(t *testing.T) {
 	rs, err := NewRuleSet([]string{`ab+c`, `xx`}, backend.Options{}, WithPolicy(Skip))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.pools[0].New = func() any { panic("injected core fault") }
+	rs.lanes[0].New = func() any { panic("injected core fault") }
 	out, serr := rs.Scan([]byte("xxabbcxx"))
 	if serr != nil {
 		t.Fatalf("scan err = %v, want nil under Skip", serr)
@@ -101,9 +102,38 @@ func TestRuleSetPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsf.pools[0].New = func() any { panic("injected core fault") }
+	rsf.lanes[0].New = func() any { panic("injected core fault") }
 	if _, serr := rsf.Scan([]byte("xxabbcxx")); serr == nil {
 		t.Fatal("FailFast swallowed a rule panic")
+	}
+
+	// A lane whose scan panicked is never pooled again: its core and gate
+	// may be mid-update. The tracer is the one caller-supplied code a
+	// lane runs.
+	armed := false
+	rst, err := NewRuleSet([]string{`ab+c`}, backend.Options{}, WithPolicy(Skip), WithTracer(func(arch.TraceEvent) {
+		if armed {
+			panic("injected mid-scan fault")
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, serr := rst.Scan([]byte("abbc")); serr != nil || len(out) != 1 || out[0].Err != nil {
+		t.Fatalf("clean scan = %+v, %v", out, serr)
+	}
+	armed = true // whichever lane is borrowed now, pooled or new, runs the tracer
+	if out, serr := rst.Scan([]byte("abbc")); serr != nil || len(out) != 1 || !errors.As(out[0].Err, &se) {
+		t.Fatalf("faulted scan = %+v, %v; want the rule's own *ScanError", out, serr)
+	}
+	// Under the race detector sync.Pool drops Puts at random, so an empty
+	// pool would prove nothing there.
+	if ln := rst.lanes[0].Get(); !raceEnabled && ln != nil {
+		t.Fatal("the lane whose scan panicked was pooled again")
+	}
+	armed = false
+	if out, serr := rst.Scan([]byte("abbc")); serr != nil || len(out) != 1 || out[0].Err != nil || len(out[0].Matches) != 1 {
+		t.Fatalf("scan on a fresh lane = %+v, %v", out, serr)
 	}
 }
 

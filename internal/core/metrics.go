@@ -85,8 +85,11 @@ func (e *Engine) MetricsSnapshot() *metrics.Snapshot {
 // PublishMetrics writes the rule set's roll-up into r under the
 // "ruleset" prefix: the aggregate architectural counters, a per-rule
 // cycle/instruction/speculation/fallback breakdown ("ruleset.rule<i>.*"),
-// worker-pool occupancy ("ruleset.worker<i>.jobs", which sums to
+// worker-slot occupancy ("ruleset.worker<i>.jobs", which sums to
 // "ruleset.jobs.dispatched"), and the reader-scan window throughput.
+// Every roll-up is copied under one lock acquisition — the one a unit's
+// merge folds under — so a snapshot taken while scans run holds whole
+// units only: dispatch, occupancy, prefilter and gate counters agree.
 func (rs *RuleSet) PublishMetrics(r *metrics.Registry) {
 	rs.mu.Lock()
 	agg := rs.agg
@@ -94,6 +97,7 @@ func (rs *RuleSet) PublishMetrics(r *metrics.Registry) {
 	occ := append([]int64(nil), rs.occ...)
 	dispatched := rs.dispatched
 	ctr := rs.streamCtr
+	fast, admitted := rs.fast, rs.approxCtr
 	rs.mu.Unlock()
 
 	arch.Publish(r, "ruleset", agg)
@@ -112,11 +116,11 @@ func (rs *RuleSet) PublishMetrics(r *metrics.Registry) {
 	r.Counter("ruleset.stream.bytes").Store(ctr.Bytes)
 	r.Counter("ruleset.stream.matches").Store(ctr.Matches)
 	if rs.FastEnabled() {
-		publishFast(r, "ruleset", rs.FastStats(), true)
+		publishFast(r, "ruleset", fast, true)
 		r.Counter("ruleset.prefilter.rules.filtered").Store(int64(rs.PrefilteredRules()))
 	}
 	if rs.ApproxEnabled() {
-		publishApprox(r, "ruleset", rs.ApproxStats(), rs.admit)
+		publishApprox(r, "ruleset", admitted, rs.admit)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"alveare/internal/arch"
@@ -189,6 +190,66 @@ func TestRuleSetOccupancyInvariant(t *testing.T) {
 	}
 	if got, want := pf.FastStats().PrefilterSkips-skips, int64(2*len(lits)); got != want {
 		t.Fatalf("prefilter skips grew by %d, want %d (every rule, both units)", got, want)
+	}
+}
+
+// TestRuleSetSnapshotUnitAtomic: a metrics snapshot taken while scans run
+// holds whole units only. A unit's dispatch count, its worker slots'
+// jobs, its prefilter passes and its gates' outcomes are folded under
+// one lock acquisition and copied out under one, so in every snapshot
+// they agree — a STATS reader never sees gate probes of a unit whose
+// dispatch is not counted yet.
+func TestRuleSetSnapshotUnitAtomic(t *testing.T) {
+	rs, err := NewRuleSet(testRules(), backend.Options{}, WithDFA(), WithApprox(), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(data []byte, streamed bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var err error
+				if streamed {
+					_, err = rs.ScanReader(bytes.NewReader(data), func(int, Match, []byte) bool { return true })
+				} else {
+					_, err = rs.Scan(data)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(testTraffic(int64(300+g), 2000), g == 0)
+	}
+	for n := 0; n < 2000 && !t.Failed(); n++ {
+		snap := rs.MetricsSnapshot()
+		dispatched := snap.Get("ruleset.jobs.dispatched")
+		var jobs int64
+		for _, m := range snap.Metrics {
+			if strings.HasPrefix(m.Name, "ruleset.worker") {
+				jobs += m.Value
+			}
+		}
+		if passes := snap.Get("ruleset.prefilter.passes"); passes != dispatched || jobs != dispatched {
+			t.Errorf("snapshot %d: prefilter.passes %d, jobs.dispatched %d, worker jobs sum %d; want all equal", n, passes, dispatched, jobs)
+		}
+		probes, resolved := snap.Get("ruleset.fast.probes"), snap.Get("ruleset.fast.negatives")+snap.Get("ruleset.fast.confirms")
+		if resolved > probes {
+			t.Errorf("snapshot %d: %d gate probes resolved of %d made", n, resolved, probes)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if rs.Dispatched() == 0 {
+		t.Fatal("no unit was dispatched while the snapshots were taken")
 	}
 }
 

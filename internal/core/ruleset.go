@@ -7,10 +7,10 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"alveare/internal/approx"
 	"alveare/internal/arch"
-	"alveare/internal/automata"
 	"alveare/internal/backend"
 	"alveare/internal/prefilter"
 	"alveare/internal/stream"
@@ -18,12 +18,14 @@ import (
 
 // RuleSet is a compiled multi-pattern database — the deployment unit of
 // deep-packet-inspection workloads, where hundreds of rules scan the
-// same stream. Rules are dispatched to a bounded worker pool (the
-// multi-core ALVEARE parallelises over data; a rule set parallelises
-// over rules, as the paper's per-RE evaluation runs one RE per loaded
-// core). Each rule is compiled once; scanning cores and gates are
-// recycled through per-rule pools, so every method of a RuleSet is safe
-// for concurrent calls from multiple goroutines.
+// same stream. A unit of input fans out over its rules (the multi-core
+// ALVEARE parallelises over data; a rule set parallelises over rules, as
+// the paper's per-RE evaluation runs one RE per loaded core), on the
+// caller's goroutine and, for large units, a bounded number of helpers.
+// Each rule is compiled once and loaded into pooled lanes that are
+// reused in place, as the paper loads an RE into a core once and streams
+// data through it; every method of a RuleSet is safe for concurrent
+// calls from multiple goroutines.
 type RuleSet struct {
 	rules   []rule
 	cfg     arch.Config
@@ -31,26 +33,25 @@ type RuleSet struct {
 	stream  stream.Config
 	policy  Policy
 
-	// pools hold per-rule scanning cores; a borrowed core is Reset, its
-	// speculation-stack arenas surviving recycling (arch.Core.Reset). A
-	// core whose scan panicked is abandoned, never pooled again.
-	pools []sync.Pool
+	// lanes holds, per rule, the loaded scanners a job borrows (*lane); a
+	// lane whose scan panicked is abandoned, never pooled again. units
+	// holds the scratch a unit of input fans out in (*unit). Both pool
+	// pointers, so a borrow boxes nothing.
+	lanes []sync.Pool
+	units sync.Pool
 
-	// tracer, when set (WithTracer), is installed on every core borrowed
-	// for a scan; pooled cores run concurrently, so it must be safe for
-	// concurrent use.
+	// tracer, when set (WithTracer), is installed on every lane's core;
+	// lanes run concurrently, so it must be safe for concurrent use.
 	tracer arch.Tracer
 
-	// Hybrid fast path (WithDFA): pooled gate instances of each rule's
-	// lazy-DFA program, plus the cross-rule Aho–Corasick literal
-	// dispatcher built from the compiled programs' prefilter hints. pf
-	// is nil when the fast path is off or the literal trie was too
-	// large — every rule then dispatches.
+	// Hybrid fast path (WithDFA): each lane carries a gate instance of its
+	// rule's lazy-DFA program, and pf is the cross-rule Aho–Corasick
+	// literal dispatcher built from the compiled programs' prefilter
+	// hints — nil when the fast path is off or the literal trie was too
+	// large; every rule then dispatches.
 	useDFA   bool
 	dfaCache int
-	dfaPools []sync.Pool
 	pf       *prefilter.Set
-	bitsPool sync.Pool
 
 	// admit is the admission stage (WithApprox): one over-approximating
 	// automaton for the union of every rule, screening whole inputs
@@ -64,15 +65,15 @@ type RuleSet struct {
 	agg        arch.Stats   // aggregate across all rules and scans
 	perRule    []arch.Stats // per-rule roll-up (index = rule)
 	occ        []int64      // jobs completed per worker slot
-	dispatched int64        // rule-scan jobs handed to the pool
+	dispatched int64        // rule-scan jobs run
 	streamCtr  stream.Counters
 	fast       FastStats   // fast-path roll-up across all rules and scans
 	approxCtr  ApproxStats // admission-stage roll-up
 }
 
 // NewRuleSet compiles every pattern with the given compiler options
-// into one rule each; scanning cores and gates are instantiated on
-// demand into per-rule pools.
+// into one rule each; lanes are instantiated on demand into per-rule
+// pools.
 func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleSet, error) {
 	s := settings{cores: 1, cfg: arch.DefaultConfig()}
 	for _, o := range opts {
@@ -86,7 +87,7 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		stream:   stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
 		policy:   s.policy,
 		tracer:   s.tracer,
-		pools:    make([]sync.Pool, n),
+		lanes:    make([]sync.Pool, n),
 		useDFA:   s.dfa,
 		dfaCache: s.dfaCache,
 		perRule:  make([]arch.Stats, n),
@@ -99,7 +100,6 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		rs.rules[i] = newRule(p, s.dfa)
 	}
 	if s.dfa {
-		rs.dfaPools = make([]sync.Pool, n)
 		var lits []prefilter.Literal
 		for i, r := range rs.rules {
 			if h := r.prog.Hint; h != nil && len(h.Literal) >= 2 {
@@ -111,7 +111,6 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		if pf, perr := prefilter.NewSet(n, lits); perr == nil {
 			rs.pf = pf
 		}
-		rs.bitsPool.New = func() any { return prefilter.NewBits(n) }
 	}
 	if s.approx {
 		rs.admit = approx.Build(patterns, s.approxStates)
@@ -167,56 +166,135 @@ func (rs *RuleSet) FastStats() FastStats {
 	return rs.fast
 }
 
-// getDFA borrows rule i's pooled lazy-DFA gate, or nil when the rule
-// has no gate (fast path off or unsupported pattern).
-func (rs *RuleSet) getDFA(i int) *automata.LazyDFA {
-	lazy := rs.rules[i].lazy
-	if lazy == nil {
-		return nil
-	}
-	if d, ok := rs.dfaPools[i].Get().(*automata.LazyDFA); ok && d != nil {
-		return d
-	}
-	return lazy.NewDFA(rs.dfaCache)
+// lane is one rule loaded and ready to scan — what a rule-scan job
+// borrows, in one piece: a core wrapped in the failure policy and, when
+// the rule has a lazy-DFA program, its gate in front (nil otherwise).
+// Both finders are reused in place; borrow re-arms them for the job.
+type lane struct {
+	g    guarded
+	gate *fastFinder
 }
 
-// putDFA returns a borrowed gate, folding its cache counters and the
-// scan's gate-outcome counters into the roll-up.
-func (rs *RuleSet) putDFA(i int, d *automata.LazyDFA, fst *FastStats) {
-	fst.addLazy(d.TakeStats())
-	rs.mu.Lock()
-	rs.fast.Add(*fst)
-	rs.mu.Unlock()
-	rs.dfaPools[i].Put(d)
+// borrow takes rule i's lane from its pool (loading a new one when the
+// pool is empty), reset for a new input. sticky carries a stream's
+// degraded state in; the job's counters go to st — zeroed here, so a
+// job that dies early leaves nothing stale — and its gate's to fst.
+func (rs *RuleSet) borrow(i int, sticky bool, st *arch.Stats, fst *FastStats) (*lane, error) {
+	*st = arch.Stats{}
+	ln, _ := rs.lanes[i].Get().(*lane)
+	if ln != nil {
+		ln.g.core.Reset()
+	} else {
+		r := &rs.rules[i]
+		core, err := arch.NewCore(r.prog, rs.cfg)
+		if err != nil {
+			return nil, scanErrFor(i, err)
+		}
+		core.SetTracer(rs.tracer)
+		ln = &lane{g: guarded{core: core, vm: r.safe, policy: rs.policy}}
+		if r.lazy != nil {
+			ln.gate = &fastFinder{dfa: r.lazy.NewDFA(rs.dfaCache), slow: &ln.g}
+		}
+	}
+	// Sticky degradation and gate stickiness (a cache bail) are scoped to
+	// this borrow; the next one retries the gate on a flushed cache.
+	ln.g.degraded, ln.g.fallbacks = sticky, &st.Fallbacks
+	if ln.gate != nil {
+		ln.gate.dead, ln.gate.st = false, fst
+	}
+	return ln, nil
+}
+
+// giveBack pools a lane again after a job that returned normally (a
+// panicked lane never gets here: it is abandoned), leaving the core's
+// counters in st and the gate's cache counters in fst, and reports
+// whether the rule fell back to the safe engine.
+func (rs *RuleSet) giveBack(i int, ln *lane, st *arch.Stats, fst *FastStats) (nowSticky bool) {
+	if ln.gate != nil {
+		fst.addLazy(ln.gate.dfa.TakeStats())
+	}
+	fallbacks := st.Fallbacks
+	*st = ln.g.core.Stats()
+	st.Fallbacks += fallbacks
+	nowSticky = ln.g.degraded
+	// An idle lane points into no unit: a stale one could only fault.
+	ln.g.fallbacks = nil
+	if ln.gate != nil {
+		ln.gate.st = nil
+	}
+	rs.lanes[i].Put(ln) // the lane is another job's from here on
+	return nowSticky
+}
+
+// recoverRule, deferred by a rule-scan job, turns a panic into the
+// rule's own *ScanError at offset from, so one faulty rule (or a
+// corrupted lane) cannot take down the whole scan.
+func recoverRule(i int, from int64, err *error) {
+	if r := recover(); r != nil {
+		*err = &ScanError{Rule: i, Offset: from, Cause: fmt.Errorf("rule fault: %v", r)}
+	}
+}
+
+// ruleResult is one rule's outcome in a fan-out.
+type ruleResult struct {
+	ms  []Match
+	err error
+}
+
+// slot is one worker's tally for a unit: the jobs it completed and its
+// gates' outcome and cache counters.
+type slot struct {
+	jobs int64
+	fast FastStats
+}
+
+// unit is the scratch one admitted unit of input — a one-shot input or a
+// stream window — fans out in, borrowed from the rule set's pool: nothing
+// in it is allocated per unit. It is idle between release and the next
+// tiers call, and all zero then but for its capacity.
+type unit struct {
+	res   []ruleResult   // per rule, written by the worker that ran it
+	per   []arch.Stats   // per rule: the job's counters
+	mask  prefilter.Bits // candidate mask
+	list  []int32        // rules dispatched, ascending
+	slots []slot         // per worker in use (cap: the widest the unit goes); slot 0 is the caller's
+	next  atomic.Int32   // cursor into list: the next job to claim
+	wg    sync.WaitGroup // the unit's helpers
+}
+
+// release makes u idle once its results are emitted. The match slices
+// belong to the caller by then; they are dropped here, never recycled.
+func (rs *RuleSet) release(u *unit) {
+	for _, i := range u.list {
+		u.res[i] = ruleResult{}
+	}
+	u.list = u.list[:0]
+	u.next.Store(0)
+	clear(u.slots)
+	u.slots = u.slots[:1]
+	rs.units.Put(u)
 }
 
 // tiers runs the rule set's skip tiers over one unit of input, in their
 // one order: the approx screen, tallied in as — a clean verdict proves
-// no rule matches, admitted is false and nothing else runs — then the
-// cross-rule prefilter's candidate mask (see candidates).
-func (rs *RuleSet) tiers(data []byte, as *ApproxStats) (cand prefilter.Bits, admitted bool) {
+// no rule matches, u is nil and nothing else runs, nor is anything
+// allocated — then the cross-rule prefilter's candidate mask into the
+// unit the admitted input fans out in (cand is nil when every rule must
+// dispatch). The caller releases u.
+func (rs *RuleSet) tiers(data []byte, as *ApproxStats) (u *unit, cand prefilter.Bits) {
 	if rs.screening() && !screen(rs.admit, as, data) {
-		return nil, false
+		return nil, nil
 	}
-	return rs.candidates(data), true
-}
-
-// candidates runs the cross-rule prefilter over one input window,
-// returning the candidate mask (recycle with putBits) or nil when
-// every rule must dispatch.
-func (rs *RuleSet) candidates(data []byte) prefilter.Bits {
-	if rs.pf == nil {
-		return nil
+	if u, _ = rs.units.Get().(*unit); u == nil {
+		n := rs.Len()
+		u = &unit{res: make([]ruleResult, n), per: make([]arch.Stats, n), mask: prefilter.NewBits(n),
+			list: make([]int32, 0, n), slots: make([]slot, 1, max(rs.workerCount(n), 1))}
 	}
-	bits := rs.bitsPool.Get().(prefilter.Bits)
-	rs.pf.Candidates(data, bits)
-	return bits
-}
-
-func (rs *RuleSet) putBits(bits prefilter.Bits) {
-	if bits != nil {
-		rs.bitsPool.Put(bits)
+	if rs.pf != nil {
+		rs.pf.Candidates(data, u.mask)
+		cand = u.mask
 	}
+	return u, cand
 }
 
 // Len returns the number of rules.
@@ -238,45 +316,35 @@ func (rs *RuleSet) workerCount(jobs int) int {
 	return min(n, jobs)
 }
 
-// getCore borrows the i-th rule's scanning core, reset for a new input,
-// with the rule set's tracer (if any) installed.
-func (rs *RuleSet) getCore(i int) (*arch.Core, error) {
-	if c, ok := rs.pools[i].Get().(*arch.Core); ok && c != nil {
-		c.Reset()
-		c.SetTracer(rs.tracer)
-		return c, nil
-	}
-	c, err := arch.NewCore(rs.rules[i].prog, rs.cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTracer(rs.tracer)
-	return c, nil
-}
-
-// merge folds one fan-out's telemetry into the roll-ups under one lock:
-// per[i] is each scanned rule's counters for this batch, occ[w] each
-// worker slot's completed-job count, sent and skipped the rules the
-// prefilter dispatched and withheld, and as the admission stage's tally
-// for the unit. Window throughput (when the batch was one stream window
-// of nr bytes) rides along so every early return inside the scan loops
-// leaves the roll-ups consistent.
-func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent, skipped int64, as ApproxStats, windows, nr int64) {
+// merge folds one unit's telemetry into the roll-ups under the unit's
+// one lock acquisition: u (nil when nothing was dispatched) holds each
+// dispatched rule's counters and each worker slot's jobs and gate
+// tallies, skipped is the rules the prefilter withheld, and as the
+// admission stage's tally for the unit. Window throughput (when the unit
+// was one stream window of nr bytes) rides along so every early return
+// inside the scan loops leaves the roll-ups consistent — and a metrics
+// snapshot, taken under the same lock, sees whole units only.
+func (rs *RuleSet) merge(u *unit, skipped int64, as ApproxStats, windows, nr int64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for i := range per {
-		rs.agg.Add(per[i])
-		rs.perRule[i].Add(per[i])
+	if u != nil {
+		for _, i := range u.list {
+			rs.agg.Add(u.per[i])
+			rs.perRule[i].Add(u.per[i])
+		}
+		for len(rs.occ) < len(u.slots) {
+			rs.occ = append(rs.occ, 0)
+		}
+		for w := range u.slots {
+			rs.occ[w] += u.slots[w].jobs
+			rs.fast.Add(u.slots[w].fast)
+		}
+		rs.dispatched += int64(len(u.list))
+		if rs.useDFA {
+			rs.fast.PrefilterPasses += int64(len(u.list))
+		}
 	}
-	for len(rs.occ) < len(occ) {
-		rs.occ = append(rs.occ, 0)
-	}
-	for w, c := range occ {
-		rs.occ[w] += c
-	}
-	rs.dispatched += sent
 	if rs.useDFA {
-		rs.fast.PrefilterPasses += sent
 		rs.fast.PrefilterSkips += skipped
 	}
 	rs.approxCtr.Add(as)
@@ -302,152 +370,131 @@ type RuleMatches struct {
 	Err error
 }
 
-// ruleResult is one rule's outcome in a fan-out.
-type ruleResult struct {
-	ms  []Match
-	err error
-}
+// spawnAbove is the size of a unit — candidate rules × bytes — at which
+// its fan-out starts helpers; below it the caller's goroutine runs every
+// job. It is set from measurement, not a model (one caller, twenty
+// PowerEN rules, two vCPUs of a shared host, helpers never against
+// helpers always): a job costs ≈ 4 ns per byte, so two workers could
+// save up to 2 ns per candidate·byte, and a helper's start-and-join (the
+// go statement, waking a parked P through the kernel, the caller's park
+// and wake-up in Wait) took back 5 µs at best and over 100 µs at worst.
+// At 20 KiB the two tied, at 40 KiB wide lost four runs of six by up to
+// 80 %, at 60 KiB it won four of six, and from 80 KiB it won every run
+// (17 % there, 1.6× at 120 KiB, 1.9× at 20 MiB). 64 KiB is the first
+// power of two past the coin-toss band: twenty rules over a 256 B record
+// (5 KiB) run inline, twenty over a 4 KiB payload (80 KiB) run wide. It
+// cannot see load: with several callers already keeping both vCPUs busy
+// (a server's 80 KiB units) helpers neither gained nor lost.
+const spawnAbove = 64 << 10
+
+// ruleRun is a fan-out's per-rule job: the caller's state, the rule, the
+// unit's bytes, and the slots for the rule's counters and the worker's
+// gate tally.
+type ruleRun[S any] func(S, context.Context, int, []byte, *arch.Stats, *FastStats) ([]Match, error)
 
 // fanOut runs one unit of input — a whole Scan input or one stream
 // window of nr new bytes — through rs's skip tiers (tiers: a rule whose
 // necessary literal is absent cannot match and is never dispatched),
-// the worker fan-out of the remaining rules through run, and the
-// telemetry roll-up. Workers are sized from the jobs actually
-// dispatched, so a unit whose every rule was withheld spawns nothing;
-// it and a screened-out unit return nil.
+// the fan-out of the remaining rules through run, and the telemetry
+// roll-up. It returns the unit holding the results — res[i] for each
+// rule i in list, ascending, so emission is deterministic — for the
+// caller to emit from and release, or nil when the unit was screened
+// out or dispatched nothing.
+//
+// The caller's goroutine is worker slot 0 and claims jobs from the list
+// like any other; helpers join it only when there are jobs to share,
+// more than one worker configured and the unit is past spawnAbove, so a
+// small unit neither spawns nor allocates.
 //
 // s is the caller's own state, handed back to its callbacks. retired
 // (nil for none) marks rules that take no part; clean (nil when the
 // caller keeps no per-rule position) is told each live rule a tier
 // proved match-free in this unit. run is called on a worker, at most
-// once per rule, with the slot for the rule's counters (a pointer: the
-// workers' stacks are deep enough without 192-byte returns), and res[i]
-// holds what it returned; emission from res in rule order is
-// deterministic. Callers pass method expressions, not closures: a unit
-// that dispatches nothing then allocates nothing.
+// once per rule. Callers pass method expressions, not closures, and
+// nothing below is a closure either: a unit that stops at a tier
+// allocates nothing.
 func fanOut[S any](ctx context.Context, rs *RuleSet, s S, data []byte, windows, nr int64, retired []error,
-	clean func(S, int), run func(S, context.Context, int, []byte, *arch.Stats) ([]Match, error)) []ruleResult {
-	n := rs.Len()
-	live := func(i int) bool { return retired == nil || retired[i] == nil }
+	clean func(S, int), run ruleRun[S]) *unit {
 	var as ApproxStats
-	cand, admitted := rs.tiers(data, &as)
-	if !admitted {
-		for i := 0; i < n; i++ {
-			if clean != nil && live(i) {
-				clean(s, i)
-			}
-		}
-		rs.merge(nil, nil, 0, 0, as, windows, nr)
-		return nil
-	}
-	defer rs.putBits(cand)
-	dispatch := func(i int) bool { return live(i) && (cand == nil || cand.Has(i)) }
-	var sent, skipped int
-	for i := 0; i < n; i++ {
+	u, cand := rs.tiers(data, &as)
+	var skipped int64
+	for i := range rs.rules {
 		switch {
-		case dispatch(i):
-			sent++
-		case live(i):
-			skipped++
+		case retired != nil && retired[i] != nil:
+		case u != nil && (cand == nil || cand.Has(i)):
+			u.list = append(u.list, int32(i))
+		default: // a tier proved the rule match-free in this unit
+			if u != nil {
+				skipped++ // by the prefilter: the rule was withheld
+			}
 			if clean != nil {
 				clean(s, i)
 			}
 		}
 	}
-	if sent == 0 {
-		rs.merge(nil, nil, 0, int64(skipped), as, windows, nr)
+	if u == nil || len(u.list) == 0 {
+		rs.merge(nil, skipped, as, windows, nr)
+		if u != nil {
+			rs.release(u)
+		}
 		return nil
 	}
 
-	// Collect per rule so the caller's emission is deterministic.
-	res := make([]ruleResult, n)
-	per := make([]arch.Stats, n)
-	occ := make([]int64, rs.workerCount(sent))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := range occ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				res[i].ms, res[i].err = run(s, ctx, i, data, &per[i])
-				occ[w]++
-			}
-		}(w)
+	if len(u.list) >= 2 && len(u.list)*len(data) >= spawnAbove {
+		u.slots = u.slots[:min(rs.workerCount(len(u.list)), cap(u.slots))]
 	}
-	for i := 0; i < n; i++ {
-		if dispatch(i) {
-			jobs <- i
-		}
+	u.wg.Add(len(u.slots) - 1)
+	for w := 1; w < len(u.slots); w++ {
+		go work(ctx, u, w, s, data, run)
 	}
-	close(jobs)
-	wg.Wait()
+	work(ctx, u, 0, s, data, run)
+	u.wg.Wait()
 
-	for _, r := range res {
-		if len(r.ms) > 0 {
+	for _, i := range u.list {
+		if len(u.res[i].ms) > 0 {
 			// An exact hit is credited to a screened unit only (the
 			// admitted tally is 1 then, 0 with the stage off).
 			as.ExactHitWindows = as.AdmittedWindows
 			break
 		}
 	}
-	rs.merge(per, occ, int64(sent), int64(skipped), as, windows, nr)
-	return res
+	rs.merge(u, skipped, as, windows, nr)
+	return u
 }
 
-// withRule borrows rule i's scanning core — wrapped in the failure
-// policy, sticky carrying a stream's degraded state in — and, when the
-// rule has one, its lazy-DFA gate (nil otherwise), runs search through
-// them, and returns both to their pools with the core's counters
-// written to st and the gate's folded into the roll-ups. A panicking
-// search is recovered into a *ScanError
-// at offset from, so one faulty rule (or a corrupted pooled core)
-// cannot take down the whole scan; the core is pooled again only on a
-// normal return — a panicked core is abandoned. nowSticky reports
-// whether the rule fell back to the safe engine.
-func (rs *RuleSet) withRule(i int, from int64, sticky bool, st *arch.Stats, search func(g *guarded, gate *fastFinder) ([]Match, error)) (ms []Match, nowSticky bool, err error) {
-	nowSticky = sticky
-	defer func() {
-		if r := recover(); r != nil {
-			ms = nil
-			err = &ScanError{Rule: i, Offset: from, Cause: fmt.Errorf("rule fault: %v", r)}
+// work is worker slot w of a unit's fan-out — slot 0 on the caller's
+// goroutine, a helper on its own, joined through the unit: it claims
+// jobs off the list until none is left, writing only the claimed rules'
+// slots and its own.
+func work[S any](ctx context.Context, u *unit, w int, s S, data []byte, run ruleRun[S]) {
+	if w > 0 {
+		defer u.wg.Done()
+	}
+	for {
+		k := int(u.next.Add(1)) - 1
+		if k >= len(u.list) {
+			return
 		}
-	}()
-	core, cerr := rs.getCore(i)
-	if cerr != nil {
-		return nil, sticky, scanErrFor(i, cerr)
+		i := int(u.list[k])
+		u.res[i].ms, u.res[i].err = run(s, ctx, i, data, &u.per[i], &u.slots[w].fast)
+		u.slots[w].jobs++
 	}
-	// Fallbacks tally in the caller's slot, so no counter is allocated
-	// per borrow; the core's own counters are folded over it below.
-	st.Fallbacks = 0
-	g := rs.rules[i].guarded(core, rs.policy, sticky, &st.Fallbacks)
-	var serr error
-	if dfa := rs.getDFA(i); dfa != nil {
-		// Gate stickiness (a cache bail) is scoped to this borrow; the
-		// next one retries the gate on a flushed cache.
-		var fst FastStats
-		ms, serr = search(g, &fastFinder{dfa: dfa, slow: g, st: &fst})
-		rs.putDFA(i, dfa, &fst)
-	} else {
-		ms, serr = search(g, nil)
-	}
-	fallbacks := st.Fallbacks
-	*st = core.Stats()
-	st.Fallbacks += fallbacks
-	rs.pools[i].Put(core)
-	return ms, g.degraded, scanErrFor(i, serr)
 }
 
-// scanRule is ScanCtx's per-rule scan, run on a fanOut worker: the
-// one-shot FindAll discipline over the whole input.
-func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte, st *arch.Stats) ([]Match, error) {
-	ms, _, err := rs.withRule(i, -1, false, st, func(g *guarded, gate *fastFinder) ([]Match, error) {
-		return findAll(ctx, g, gate, data)
-	})
-	return ms, err
+// scanRule is ScanCtx's per-rule job: the one-shot FindAll discipline
+// over the whole input, on a borrowed lane.
+func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte, st *arch.Stats, fst *FastStats) (ms []Match, err error) {
+	defer recoverRule(i, -1, &err)
+	ln, err := rs.borrow(i, false, st, fst)
+	if err != nil {
+		return nil, err
+	}
+	ms, err = findAll(ctx, &ln.g, ln.gate, data)
+	rs.giveBack(i, ln, st, fst)
+	return ms, scanErrFor(i, err)
 }
 
-// Scan runs every rule over data on the worker pool and returns the
+// Scan fans data out over every rule (fanOut) and returns the
 // hits of the rules that matched, in rule order. Per-rule counters are
 // merged race-free into the aggregate reported by Stats.
 func (rs *RuleSet) Scan(data []byte) ([]RuleMatches, error) {
@@ -465,33 +512,40 @@ func (rs *RuleSet) ScanCtx(ctx context.Context, data []byte) ([]RuleMatches, err
 	if rs.Len() == 0 {
 		return nil, nil
 	}
-	res := fanOut(ctx, rs, rs, data, 0, 0, nil, nil, (*RuleSet).scanRule)
-	var scanErr error
-	for _, r := range res {
-		if isCancel(r.err) {
-			scanErr = r.err
-			rs.noteCancel()
-			break
-		}
-		if r.err != nil && rs.policy == FailFast && scanErr == nil {
-			scanErr = r.err
-		}
+	u := fanOut(ctx, rs, rs, data, 0, 0, nil, nil, (*RuleSet).scanRule)
+	if u == nil {
+		return nil, nil
 	}
+	defer rs.release(u)
+	var cancelled, fault error
 	var out []RuleMatches
-	for i, r := range res {
+	for k, i := range u.list {
+		r := u.res[i]
 		if isCancel(r.err) {
+			if cancelled == nil {
+				cancelled = r.err
+			}
 			r.err = nil // reported as the scan error, not a rule fault
+		} else if fault == nil && rs.policy == FailFast {
+			fault = r.err
 		}
 		if len(r.ms) > 0 || r.err != nil {
-			out = append(out, RuleMatches{Rule: i, Matches: r.ms, Err: r.err})
+			if out == nil {
+				out = make([]RuleMatches, 0, len(u.list)-k) // one allocation, not a growth series
+			}
+			out = append(out, RuleMatches{Rule: int(i), Matches: r.ms, Err: r.err})
 		}
 	}
-	return out, scanErr
+	if cancelled != nil {
+		rs.noteCancel()
+		return out, cancelled
+	}
+	return out, fault
 }
 
 // ScanReader scans an unbounded stream against every rule: the input
 // is consumed once, window by window (WithChunkSize / WithOverlap),
-// and each window is dispatched to the worker pool — one resume
+// and each window fans out over the rules (fanOut) — one resume
 // position per rule, following the same one-shot-equivalent discipline
 // as Engine.ScanReader. emit is called sequentially (never
 // concurrently), windows in stream order and rules in rule order
@@ -548,55 +602,67 @@ func (rs *RuleSet) FirstMatch(data []byte) (rule int, ok bool, err error) {
 
 // FirstMatchCtx is FirstMatch with cooperative cancellation. Behind the
 // same screen and candidate mask as a scan, rules are probed in order
-// on the caller's goroutine, each on a borrowed core (so concurrent
+// on the caller's goroutine, each on a borrowed lane (so concurrent
 // calls share nothing); under Degrade and Skip a faulting rule is
 // passed over (its error is returned, joined, only when no later rule
 // matches), under FailFast the first fault aborts the probe. The
-// roll-ups count the caller as worker slot 0.
+// roll-ups count the caller as worker slot 0, like a scan's.
 func (rs *RuleSet) FirstMatchCtx(ctx context.Context, data []byte) (rule int, ok bool, err error) {
 	var as ApproxStats
-	cand, admitted := rs.tiers(data, &as)
-	if !admitted {
-		rs.merge(nil, nil, 0, 0, as, 0, 0)
+	u, cand := rs.tiers(data, &as)
+	if u == nil {
+		rs.merge(nil, 0, as, 0, 0)
 		return 0, false, nil
 	}
-	defer rs.putBits(cand)
-	per := make([]arch.Stats, rs.Len())
-	var probed, skipped int64
-	defer func() { rs.merge(per, []int64{probed}, probed, skipped, as, 0, 0) }()
+	var skipped int64
 	var deferred []error
+probe:
 	for i := range rs.rules {
 		if cand != nil && !cand.Has(i) {
 			skipped++
 			continue
 		}
-		probed++
-		ms, _, rerr := rs.withRule(i, -1, false, &per[i], func(g *guarded, gate *fastFinder) ([]Match, error) {
-			m, hit, err := probeFinder(g, gate).FindFromCtx(ctx, data, 0)
-			if !hit {
-				return nil, err
-			}
-			return []Match{m}, err
-		})
+		u.list = append(u.list, int32(i))
+		hit, rerr := rs.probeRule(ctx, i, data, &u.per[i], &u.slots[0].fast)
+		u.slots[0].jobs++
 		switch {
-		case rerr == nil && len(ms) > 0:
+		case rerr == nil && hit:
+			rule, ok = i, true
 			as.ExactHitWindows = as.AdmittedWindows
-			return i, true, nil
+			break probe
 		case rerr == nil:
-		case isCancel(rerr):
-			rs.noteCancel()
-			return 0, false, rerr
-		case rs.policy == FailFast:
-			return 0, false, rerr
+		case isCancel(rerr) || rs.policy == FailFast:
+			if isCancel(rerr) {
+				rs.noteCancel()
+			}
+			err = rerr
+			break probe
 		default:
 			deferred = append(deferred, rerr)
 		}
 	}
-	return 0, false, errors.Join(deferred...)
+	if !ok && err == nil {
+		err = errors.Join(deferred...)
+	}
+	rs.merge(u, skipped, as, 0, 0)
+	rs.release(u)
+	return rule, ok, err
 }
 
-// Stats returns the aggregate counters merged from every pooled core
-// across all Scan and ScanReader calls so far.
+// probeRule is FirstMatchCtx's per-rule job: one probe from offset 0.
+func (rs *RuleSet) probeRule(ctx context.Context, i int, data []byte, st *arch.Stats, fst *FastStats) (hit bool, err error) {
+	defer recoverRule(i, -1, &err)
+	ln, err := rs.borrow(i, false, st, fst)
+	if err != nil {
+		return false, err
+	}
+	_, hit, err = probeFinder(&ln.g, ln.gate).FindFromCtx(ctx, data, 0)
+	rs.giveBack(i, ln, st, fst)
+	return hit, scanErrFor(i, err)
+}
+
+// Stats returns the aggregate counters merged from every lane across
+// all Scan and ScanReader calls so far.
 func (rs *RuleSet) Stats() Stats {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -611,16 +677,16 @@ func (rs *RuleSet) RuleStats(i int) Stats {
 }
 
 // WorkerOccupancy returns the number of rule-scan jobs each worker slot
-// completed; the values sum to Dispatched. The slice is sized to the
-// widest pool any scan used.
+// completed (slot 0 is the scanning caller's own goroutine); the values
+// sum to Dispatched. The slice is sized to the widest any scan went.
 func (rs *RuleSet) WorkerOccupancy() []int64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return append([]int64(nil), rs.occ...)
 }
 
-// Dispatched returns the total number of rule-scan jobs handed to the
-// worker pool (one per live rule per Scan call or stream window).
+// Dispatched returns the total number of rule-scan jobs run (one per
+// candidate rule per Scan call or stream window).
 func (rs *RuleSet) Dispatched() int64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()

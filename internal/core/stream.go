@@ -114,65 +114,39 @@ func (p windowPass) cleanRule(i int) {
 }
 
 // scanRule is rule i's scan of the window, run on a fanOut worker;
-// only the rule's own slots are written.
-func (p windowPass) scanRule(ctx context.Context, i int, buf []byte, stats *arch.Stats) ([]Match, error) {
+// only the rule's own slots are written. A panic drops what the rule had
+// found: ms is set once the window scan returns.
+func (p windowPass) scanRule(ctx context.Context, i int, buf []byte, stats *arch.Stats, fst *FastStats) (ms []Match, err error) {
 	st := p.st
-	ms, sticky, err := st.rs.withRule(i, int64(st.pos[i]), st.sticky[i], stats, func(g *guarded, gate *fastFinder) (ms []Match, err error) {
-		st.pos[i], _, err = stream.ScanWindowCtx(ctx, probeFinder(g, gate), buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
-			func(m Match, _ []byte) bool {
-				ms = append(ms, m)
-				return true
-			})
-		return ms, err
-	})
-	st.sticky[i] = sticky
-	return ms, err
+	defer recoverRule(i, int64(st.pos[i]), &err)
+	ln, err := st.rs.borrow(i, st.sticky[i], stats, fst)
+	if err != nil {
+		return nil, err
+	}
+	var found []Match
+	st.pos[i], _, err = stream.ScanWindowCtx(ctx, probeFinder(&ln.g, ln.gate), buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
+		func(m Match, _ []byte) bool {
+			found = append(found, m)
+			return true
+		})
+	st.sticky[i] = st.rs.giveBack(i, ln, stats, fst)
+	return found, scanErrFor(i, err)
 }
 
 // window runs one window pass over the buffered bytes: the rule set's
-// tier chain (fanOut) with each dispatched rule's window scan,
-// retirement of rules the policy contained, deterministic emission,
-// and (on a non-final continuing window) the overlap carry. nr is the
-// byte count this window added, for the throughput roll-up.
+// tier chain (fanOut) with each dispatched rule's window scan, delivery
+// of what it found and (on a non-final continuing window) the overlap
+// carry. nr is the byte count this window added, for the throughput
+// roll-up.
 func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule int, m Match, text []byte) bool) (bool, error) {
 	rs, w := st.rs, &st.win
-	buf, base := w.Bytes(), w.Base()
-	res := fanOut(ctx, rs, windowPass{st, final}, buf, 1, int64(nr), st.dead, windowPass.cleanRule, windowPass.scanRule)
-	for i, r := range res {
-		if r.err == nil {
-			continue
-		}
-		if isCancel(r.err) || rs.policy == FailFast {
-			if isCancel(r.err) {
-				rs.noteCancel()
-			}
+	if u := fanOut(ctx, rs, windowPass{st, final}, w.Bytes(), 1, int64(nr), st.dead, windowPass.cleanRule, windowPass.scanRule); u != nil {
+		cont, err := st.deliver(u, emit)
+		rs.release(u)
+		if !cont {
 			st.done = true
-			return false, r.err
+			return false, err
 		}
-		// Retire the rule; the stream scan outlives it. Park its
-		// resume offset past the stream so a stale offset can never
-		// fault the carry-over arithmetic.
-		st.dead[i] = r.err
-		st.pos[i] = w.Limit()
-	}
-	var emitted int64
-	flushEmitted := func() {
-		rs.mu.Lock()
-		rs.streamCtr.Matches += emitted
-		rs.mu.Unlock()
-	}
-	for i, r := range res {
-		for _, m := range r.ms {
-			emitted++
-			if !emit(i, m, buf[m.Start-base:m.End-base]) {
-				flushEmitted()
-				st.done = true
-				return false, nil
-			}
-		}
-	}
-	if emitted > 0 {
-		flushEmitted()
 	}
 	if final {
 		st.done = true
@@ -182,4 +156,45 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 		w.Carry(w.OwnEnd(false))
 	}
 	return true, nil
+}
+
+// deliver hands one window's results on: retirement of the rules the
+// policy contained, then deterministic emission. cont is false when the
+// stream ends here — on a rule's error (cancellation, or any under
+// FailFast) or because emit stopped it.
+func (st *Stream) deliver(u *unit, emit func(rule int, m Match, text []byte) bool) (cont bool, err error) {
+	rs, w := st.rs, &st.win
+	for _, i := range u.list {
+		switch rerr := u.res[i].err; {
+		case rerr == nil:
+		case isCancel(rerr):
+			rs.noteCancel()
+			return false, rerr
+		case rs.policy == FailFast:
+			return false, rerr
+		default:
+			// Retire the rule; the stream scan outlives it. Park its
+			// resume offset past the stream so a stale offset can never
+			// fault the carry-over arithmetic.
+			st.dead[i], st.pos[i] = rerr, w.Limit()
+		}
+	}
+	buf, base := w.Bytes(), w.Base()
+	var emitted int64
+	cont = true
+emission:
+	for _, i := range u.list {
+		for _, m := range u.res[i].ms {
+			emitted++
+			if cont = emit(int(i), m, buf[m.Start-base:m.End-base]); !cont {
+				break emission
+			}
+		}
+	}
+	if emitted > 0 {
+		rs.mu.Lock()
+		rs.streamCtr.Matches += emitted
+		rs.mu.Unlock()
+	}
+	return cont, nil
 }
