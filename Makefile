@@ -20,8 +20,10 @@ race:
 ## detector (including the goroutine-leak assertions in the fault
 ## matrix), the differential battery, the seeded chaos suite, then a
 ## short fuzz pass over the differential fuzzers, plus the benchmark
-## module's own vet and tests and the import-layering check.
+## module's own vet and tests and the import-layering check; the gate
+## walk's microbenchmark runs once so it cannot rot.
 check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke benchcheck layercheck
+	$(GO) test -run '^$$' -bench BenchmarkLazyFirstAccept -benchtime 1x ./internal/automata
 
 ## benchcheck: the benchmark is a Go module of its own (benchmark/go.mod),
 ## so `go build ./... && go test ./...` at the root never compiles it;
@@ -160,10 +162,12 @@ LOAD_FLAGS ?= -conns 4 -inflight 4 -duration 10s
 loadtest:
 	$(GO) run ./cmd/alveareload -addr $(LOAD_ADDR) $(LOAD_FLAGS)
 
-## bench: the enabled-vs-disabled observability benchmarks (plus the
-## rest of the benchmark suite lives under `go test -bench=.`).
+## bench: the enabled-vs-disabled observability benchmarks and the
+## lazy-DFA gate walk, ns per byte per rule (the rest of the benchmark
+## suite lives under `go test -bench=.`).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkMetricsOverhead -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkLazyFirstAccept -cpu 1 ./internal/automata
 
 ## benchguard: fail if the metrics-DISABLED hot path regresses more
 ## than 3% against the committed wall-clock baseline

@@ -74,6 +74,8 @@ func WithDFA() Option { return core.WithDFA() }
 // WithDFACache bounds the lazy DFA's evictable state cache (default
 // 4096 states). Tiny caches force clear-on-full flushes and, when the
 // live working set still does not fit, a fallback to the exact engine.
+// Values above MaxInt32 / (the rule's alphabet classes, at most 256) are
+// clamped to it: the transition table is indexed by int32 offsets.
 func WithDFACache(n int) Option { return core.WithDFACache(n) }
 
 // FastStats are the hybrid fast path's counters: probe-gate outcomes,

@@ -19,6 +19,13 @@ func FuzzLazyDFA(f *testing.F) {
 	f.Add("q(w|e)*?r", "qwer qweer qr", 0)
 	f.Add("[a-f]{2,6}", "xxfadebeadxx", 7)
 	f.Add("", "empty pattern", 4)
+	// A self-looping start state under the smallest caches: the walk's
+	// start-state skip set fills, is flushed (once while in state 0) and
+	// refills between matches.
+	f.Add("(ab|cd)[0-9]{2}", "zzzzabzzcd12zz", 4)
+	f.Add("(ab|cd)[0-9]{2}", "zzzzabzzcd12zz", 5)
+	f.Add("(ab|cd|ef)x", "zzabzczezzzabxzzzzzzzzzzzzzzzzzefx", 4)
+	f.Add("(ab|cd|ef)x", "zzabzczezzzabxzzzzzzzzzzzzzzzzzefx", 5)
 	f.Fuzz(func(t *testing.T, pat, input string, cacheSize int) {
 		if len(pat) > 40 || len(input) > 1<<12 {
 			t.Skip()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Lazy (on-the-fly) determinisation, the RE2-style fast path: instead
@@ -136,9 +137,13 @@ type LazyDFA struct {
 	maxStates int
 
 	subsets []*StateSet // state id -> NFA subset
-	trans   []int32     // state id * numClasses + class -> next id, -1 unknown
+	trans   []int32     // state id * numClasses + class -> entry (see entry)
 	accept  []bool
 	index   map[string]int32
+	// stay holds the bytes whose transition out of state 0 is already
+	// known to lead back to state 0: the walk skips over them without
+	// touching trans. Filled by step, cleared by flush.
+	stay [256]bool
 
 	scratch *StateSet // successor-subset workspace
 	key     []byte    // index-key workspace (StateSet.AppendKey)
@@ -146,14 +151,19 @@ type LazyDFA struct {
 }
 
 // NewDFA builds a private lazy DFA over the program. maxStates bounds
-// the state cache; non-positive selects DefaultLazyCacheStates, and the
-// floor is 4 (start, current and successor subsets must coexist).
+// the state cache; non-positive selects DefaultLazyCacheStates, the
+// floor is 4 (start, current and successor subsets must coexist) and
+// the ceiling is MaxInt32/NumClasses (a transition entry is an int32
+// row offset into the table).
 func (p *LazyProg) NewDFA(maxStates int) *LazyDFA {
 	if maxStates <= 0 {
 		maxStates = DefaultLazyCacheStates
 	}
 	if maxStates < 4 {
 		maxStates = 4
+	}
+	if most := math.MaxInt32 / p.numClasses; maxStates > most {
+		maxStates = most
 	}
 	d := &LazyDFA{
 		p:         p,
@@ -200,6 +210,17 @@ func (d *LazyDFA) intern(s *StateSet) int32 {
 	return id
 }
 
+// entry encodes state id as a transition-table entry: the state's
+// premultiplied row offset (id*numClasses), or -2-id when it accepts.
+// With -1 for "not computed yet" the walk tests one sign per byte and
+// neither multiplies nor reads accept on its fast path.
+func (d *LazyDFA) entry(id int32) int32 {
+	if d.accept[id] {
+		return -2 - id
+	}
+	return id * int32(d.p.numClasses)
+}
+
 // flush evicts the whole cache and re-seeds it with the start subset,
 // returning the new id of cur (the in-flight subset the scan resumes
 // from). Clear-on-full keeps eviction O(1) amortised with no
@@ -210,19 +231,22 @@ func (d *LazyDFA) flush(cur *StateSet) int32 {
 	d.subsets = d.subsets[:0]
 	d.trans = d.trans[:0]
 	d.accept = d.accept[:0]
+	d.stay = [256]bool{}
 	d.index = make(map[string]int32, d.maxStates)
 	d.intern(d.p.start)
 	return d.intern(cur)
 }
 
-// step computes the transition of state s on alphabet class cls,
-// interning the successor. When the cache is full it flushes if
-// canFlush allows, else reports ok=false (the caller must bail). The
-// returned cur is the (possibly re-interned, after a flush)
-// current-state id.
-func (d *LazyDFA) step(s int32, cls int, canFlush bool) (cur, next int32, flushedNow, ok bool) {
+// step computes the transition of the non-accepting state at row
+// offset row on alphabet class cls, interning the successor and
+// recording its entry. When the cache is full it flushes if canFlush
+// allows, else reports ok=false (the caller must bail). The returned
+// cur is the row offset of the current state (re-interned after a
+// flush), next the successor's entry.
+func (d *LazyDFA) step(row int32, cls int, canFlush bool) (cur, next int32, flushedNow, ok bool) {
 	d.stats.Misses++
 	p := d.p
+	s := row / int32(p.numClasses)
 	d.scratch.Clear()
 	d.subsets[s].ForEach(func(i int) {
 		st := &p.nfa.States[i]
@@ -232,22 +256,27 @@ func (d *LazyDFA) step(s int32, cls int, canFlush bool) (cur, next int32, flushe
 	})
 	d.scratch.Or(p.start) // unanchored: re-inject the start closure
 	d.key = d.scratch.AppendKey(d.key[:0])
-	if id, found := d.index[string(d.key)]; found {
-		d.trans[int(s)*p.numClasses+cls] = id
-		return s, id, false, true
-	}
-	if len(d.subsets) >= d.maxStates {
-		if !canFlush {
-			return s, 0, false, false
+	id, found := d.index[string(d.key)]
+	if !found {
+		if len(d.subsets) >= d.maxStates {
+			if !canFlush {
+				return row, 0, false, false
+			}
+			// subsets[s] survives the flush: flush re-interns it from the
+			// still-referenced StateSet before anything else is added.
+			row = d.entry(d.flush(d.subsets[s]))
+			flushedNow = true
 		}
-		// subsets[s] survives the flush: flush re-interns it from the
-		// still-referenced StateSet before anything else is added.
-		s = d.flush(d.subsets[s])
-		flushedNow = true
+		id = d.intern(d.scratch)
 	}
-	next = d.intern(d.scratch)
-	d.trans[int(s)*p.numClasses+cls] = next
-	return s, next, flushedNow, true
+	next = d.entry(id)
+	d.trans[int(row)+cls] = next
+	if row == 0 && id == 0 {
+		for b := range d.stay {
+			d.stay[b] = d.stay[b] || int(p.classes[b]) == cls
+		}
+	}
+	return row, next, flushedNow, true
 }
 
 // FirstAccept reports whether any match starting at or after from ends
@@ -272,44 +301,64 @@ func (d *LazyDFA) FirstAcceptCtx(ctx context.Context, data []byte, from int) (en
 	if d.accept[0] {
 		return from, true, nil // the pattern matches the empty string
 	}
-	s := int32(0)
-	nc := d.p.numClasses
+	// The recurrence is one add and one load per byte: row is the
+	// current state's row offset, an entry below zero is either a target
+	// that accepts or a transition still to compute. trans is held in a
+	// local and re-read only after step, which may grow or flush it.
+	trans, classes, stay := d.trans, &d.p.classes, &d.stay
+	row := int32(0)
 	flushed := false
 	flushedAt := from
-	check := from + lazyCancelCheckBytes
 	i := from
-	for ; i < len(data); i++ {
-		if ctx != nil && i >= check {
+	for i < len(data) {
+		if ctx != nil && i > from {
 			if cerr := ctx.Err(); cerr != nil {
 				d.stats.Bytes += int64(i - from)
 				return 0, false, cerr
 			}
-			check = i + lazyCancelCheckBytes
 		}
-		cls := int(d.p.classes[data[i]])
-		next := d.trans[int(s)*nc+cls]
-		if next < 0 {
-			// The first flush of a scan is warming; a further flush is
-			// allowed only after the cache paid for itself (4x the cache
-			// size in input bytes since the last one) — otherwise the
-			// live working set exceeds the cache and the scan bails.
-			canFlush := !flushed || i-flushedAt >= 4*d.maxStates
-			var fl, ok bool
-			s, next, fl, ok = d.step(s, cls, canFlush)
-			if !ok {
-				d.stats.Bytes += int64(i - from)
-				d.stats.Bails++
-				return 0, false, ErrDFABail
+		blk := data[:min(i+lazyCancelCheckBytes, len(data))]
+		for i < len(blk) {
+			if row == 0 {
+				// State 0 is the unanchored start subset: skip the bytes
+				// already known to leave the walk there.
+				for i < len(blk) && stay[blk[i]] {
+					i++
+				}
+				if i == len(blk) {
+					break
+				}
 			}
-			if fl {
-				flushed = true
-				flushedAt = i
+			cls := int(classes[blk[i]])
+			next := trans[int(row)+cls]
+			if next < 0 {
+				if next == -1 {
+					// The first flush of a scan is warming; a further flush
+					// is allowed only after the cache paid for itself (4x
+					// the cache size in input bytes since the last one) —
+					// otherwise the live working set exceeds the cache and
+					// the scan bails.
+					canFlush := !flushed || i-flushedAt >= 4*d.maxStates
+					var fl, ok bool
+					row, next, fl, ok = d.step(row, cls, canFlush)
+					if !ok {
+						d.stats.Bytes += int64(i - from)
+						d.stats.Bails++
+						return 0, false, ErrDFABail
+					}
+					if fl {
+						flushed = true
+						flushedAt = i
+					}
+					trans = d.trans
+				}
+				if next < -1 {
+					d.stats.Bytes += int64(i + 1 - from)
+					return i + 1, true, nil
+				}
 			}
-		}
-		s = next
-		if d.accept[s] {
-			d.stats.Bytes += int64(i + 1 - from)
-			return i + 1, true, nil
+			row = next
+			i++
 		}
 	}
 	d.stats.Bytes += int64(len(data) - from)

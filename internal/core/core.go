@@ -163,7 +163,8 @@ func WithDFA() Option {
 // automata.DefaultLazyCacheStates). Tiny caches force clear-on-full
 // flushes and, when the live working set still does not fit, bail to
 // the exact engine — the knob fault-injection tests use to exercise
-// the fallback seam deterministically.
+// the fallback seam deterministically. automata.LazyProg.NewDFA clamps
+// n to [4, MaxInt32/NumClasses].
 func WithDFACache(n int) Option {
 	return func(s *settings) { s.dfaCache = n }
 }

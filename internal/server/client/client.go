@@ -19,6 +19,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -378,6 +379,11 @@ func (c *Client) invalidate(cs *connState) {
 	cs.nc.Close()
 }
 
+// readBufferSize sizes the bufio.Reader in front of server.ReadFrame,
+// the same 32 KiB the serving shell uses: about one read syscall per
+// packet-sized response, not three.
+const readBufferSize = 32 << 10
+
 // readLoop is one connection's demultiplexer: every response frame is
 // routed to the request carrying its id. A read failure is terminal
 // for the connection — every in-flight request on it fails with the
@@ -385,8 +391,9 @@ func (c *Client) invalidate(cs *connState) {
 // request.
 func (c *Client) readLoop(cs *connState) {
 	defer close(cs.readerDone)
+	br := bufio.NewReaderSize(cs.nc, readBufferSize)
 	for {
-		f, err := server.ReadFrame(cs.nc, c.maxFrame)
+		f, err := server.ReadFrame(br, c.maxFrame)
 		if err != nil {
 			cs.mu.Lock()
 			cs.readErr = fmt.Errorf("client: connection lost: %w", err)

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Request opcodes (client → server).
@@ -128,6 +129,12 @@ const DefaultMaxFrame = 1 << 20
 // frameHeader is the fixed prefix: u32 length, u8 opcode, u32 id.
 const frameHeader = 9
 
+// readBufferSize sizes the bufio.Reader a connection's reader loop puts
+// in front of ReadFrame, so a packet-sized frame costs about one read
+// syscall, not three (length, opcode+id, body). Bodies larger than the
+// buffer are still read straight into their own allocation.
+const readBufferSize = 32 << 10
+
 // minFrameLen is the smallest legal value of the length field
 // (opcode + id, empty body).
 const minFrameLen = 5
@@ -150,19 +157,25 @@ type Frame struct {
 	Body []byte
 }
 
-// WriteFrame serialises f to w as one length-prefixed frame.
+// frameBufs recycles WriteFrame's serialisation buffers. A buffer that
+// grew past DefaultMaxFrame is dropped, not pooled: one oversized
+// frame must not pin its memory for the life of the process.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteFrame serialises f to w as one length-prefixed frame, header
+// and body in a single Write: on a TCP_NODELAY socket that is one
+// syscall and one segment train per frame.
 func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(minFrameLen+len(f.Body)))
-	hdr[4] = f.Op
-	binary.BigEndian.PutUint32(hdr[5:9], f.ID)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := frameBufs.Get().(*[]byte)
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(minFrameLen+len(f.Body)))
+	buf = append(buf, f.Op)
+	buf = binary.BigEndian.AppendUint32(buf, f.ID)
+	buf = append(buf, f.Body...)
+	_, err := w.Write(buf)
+	if cap(buf) <= DefaultMaxFrame {
+		*bp = buf
+		frameBufs.Put(bp)
 	}
-	if len(f.Body) == 0 {
-		return nil
-	}
-	_, err := w.Write(f.Body)
 	return err
 }
 

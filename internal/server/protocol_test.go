@@ -175,6 +175,48 @@ func TestReadFrameTruncated(t *testing.T) {
 	}
 }
 
+// writeLog records each Write it receives as a copy of its own.
+type writeLog [][]byte
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	*w = append(*w, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteFrameOneWrite pins the syscall shape: every frame, empty
+// body or not, small or past the pooling limit, reaches the writer as
+// exactly one Write holding the golden bytes — and a recycled buffer
+// never leaks one frame's bytes into the next.
+func TestWriteFrameOneWrite(t *testing.T) {
+	var w writeLog
+	for _, tc := range goldenFrames {
+		if err := WriteFrame(&w, tc.frame); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	if len(w) != len(goldenFrames) {
+		t.Fatalf("%d frames took %d writes, want one each", len(goldenFrames), len(w))
+	}
+	for i, tc := range goldenFrames {
+		if !bytes.Equal(w[i], tc.wire) {
+			t.Fatalf("%s: wrote % x, want % x", tc.name, w[i], tc.wire)
+		}
+	}
+	big := Frame{Op: OpScan, ID: 7, Body: bytes.Repeat([]byte{0xAB}, DefaultMaxFrame+1)}
+	w = nil
+	for range 2 { // the second call must not find the first one's buffer pooled and stale
+		if err := WriteFrame(&w, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w) != 2 || len(w[0]) != frameHeader+len(big.Body) || !bytes.Equal(w[0], w[1]) {
+		t.Fatalf("big frame: %d writes of %d bytes", len(w), len(w[0]))
+	}
+	if f, err := ReadFrame(bytes.NewReader(w[1]), 2*DefaultMaxFrame); err != nil || !reflect.DeepEqual(f, big) {
+		t.Fatalf("big frame round trip: op %#x id %d body %d err %v", f.Op, f.ID, len(f.Body), err)
+	}
+}
+
 func TestReadFrameOversized(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{Op: OpScan, ID: 1, Body: make([]byte, 100)}); err != nil {

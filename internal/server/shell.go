@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -289,9 +290,10 @@ func (sh *Shell) serveConn(c *Conn) {
 		sh.connsOpen.Set(int64(open))
 	}()
 
+	br := bufio.NewReaderSize(c.nc, readBufferSize)
 	for !sh.Draining() {
 		c.nc.SetReadDeadline(time.Now().Add(sh.sc.ReadTimeout))
-		f, err := ReadFrame(c.nc, sh.sc.MaxFrame)
+		f, err := ReadFrame(br, sh.sc.MaxFrame)
 		switch {
 		case err == nil:
 			sh.bytesIn.Add(int64(frameHeader + len(f.Body)))
