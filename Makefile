@@ -129,8 +129,9 @@ fuzz:
 ## (SCAN-BATCH item isolation, session framing vs one-shot scans plus
 ## garbage-frame robustness), the checkpoint handoff (SESSION-RESTORE
 ## of valid, corrupted and arbitrary checkpoints — no dup/lost match,
-## no desync), and the approx admission never-miss property (filter
-## soundness plus screened-vs-unscreened identity).
+## no desync), the approx admission never-miss property (filter
+## soundness plus screened-vs-unscreened identity), and the wire codec
+## (every body a decoder accepts re-encodes to a fixed point).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamChunking -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFaultInjection -fuzztime 30s .
@@ -139,6 +140,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzSessionFraming -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzSessionRestore -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzApproxAdmission -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime 30s ./internal/server/
 
 ## leakcheck: the guardrail tests carry goroutine-leak assertions
 ## (leakCheck in faultmatrix_test.go and the scan-service drain tests);

@@ -285,7 +285,7 @@ func FuzzSessionRestore(f *testing.F) {
 				// close may itself answer a typed ERROR (a flipped done
 				// flag restores a finished stream); either way the server
 				// drops the session on CLOSE.
-				id, _, _, derr := server.DecodeSessionOKGen(rf.Body)
+				id, _, _, derr := server.DecodeSessionOK(rf.Body, body[0])
 				if derr != nil {
 					t.Fatalf("malformed SESSION-OK for restored session: %v", derr)
 				}

@@ -557,10 +557,8 @@ func (g *Gateway) execute(c *server.Conn, ts *tenantState, key string, op byte, 
 		g.routeSingle(c, ts, key, op, server.OpCountResp, body, id)
 	case server.OpScanBatch:
 		g.routeSingle(c, ts, key, op, server.OpBatchResp, body, id)
-	case server.OpSessionOpen:
-		g.openGwSession(c, ts, key, body, id, false)
-	case server.OpSessionRestore:
-		g.openGwSession(c, ts, key, body, id, true)
+	case server.OpSessionOpen, server.OpSessionRestore:
+		g.openGwSession(c, ts, key, op, body, id)
 	case server.OpScanPattern:
 		g.scatterGather(c, ts, body, id)
 	case server.OpReload:
@@ -810,7 +808,7 @@ func (g *Gateway) shedReply(c *server.Conn, id uint32, ts *tenantState, reason b
 	if ts != nil {
 		ts.shed.Inc()
 	}
-	c.WriteFrame(server.Frame{Op: server.OpShed, ID: id, Body: []byte{reason}})
+	c.WriteFrame(server.Frame{Op: server.OpShed, ID: id, Body: server.EncodeShed(reason)})
 }
 
 // replyErr writes an ERROR response and counts it.

@@ -29,8 +29,8 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -48,12 +48,12 @@ type placement struct {
 	backend   int    // current shard index
 	ts        *tenantState
 
-	key        string // ring placement key, reused for failover walks
-	overlap    uint32 // negotiated carry, reused for fresh-open failover
-	gen        uint32 // rule generation fence for SESSION-RESTORE
-	ckpt       []byte // last acked post-frame checkpoint (nil: none acked)
-	fin        uint64 // finalised-prefix offset: every forwarded match starts before it
-	clientCkpt bool   // the client itself negotiated checkpoint piggybacks
+	key         string // ring placement key, reused for failover walks
+	overlap     uint32 // negotiated carry, reused for fresh-open failover
+	gen         uint32 // rule generation fence for SESSION-RESTORE
+	ckpt        []byte // last acked post-frame checkpoint (nil: none acked)
+	fin         uint64 // finalised-prefix offset: every forwarded match starts before it
+	clientFlags byte   // the SESSION-OPEN flags the client itself started with
 }
 
 // gwSession is one client stream; its ID is the gateway-assigned id the
@@ -72,39 +72,25 @@ type gwSession = server.Session[placement, func(closed bool)]
 // bothered), and again at the insert, which is what holds the cap when
 // several opens race — the loser's shard-side open falls to the shard's
 // idle reaper like every other abandoned open.
-func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, body []byte, id uint32, restore bool) {
+func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, op byte, body []byte, id uint32) {
 	if g.sessions.Count() >= g.cfg.MaxSessions {
 		g.shedReply(c, id, ts, server.ShedReasonCapacity)
 		return
 	}
 
-	// Parse the client's request and build the shard-side body with the
+	// Parse the client's request and re-encode it for the shard with the
 	// checkpoint flag forced on.
-	var (
-		op         byte
-		wire       []byte
-		seedCkpt   []byte
-		clientCkpt bool
-	)
-	if restore {
-		cflags, ckpt, err := server.DecodeSessionRestore(body)
-		if err != nil {
-			g.replyErr(c, id, ts, server.ErrCodeBadFrame, err)
-			return
-		}
-		clientCkpt = cflags&server.SessionOpenFlagCheckpoint != 0
-		seedCkpt = append([]byte(nil), ckpt...)
-		op = server.OpSessionRestore
-		wire = server.EncodeSessionRestore(server.SessionOpenFlagCheckpoint, ckpt)
-	} else {
-		overlap, cflags, err := server.DecodeSessionOpenFlags(body)
-		if err != nil {
-			g.replyErr(c, id, ts, server.ErrCodeBadFrame, err)
-			return
-		}
-		clientCkpt = cflags&server.SessionOpenFlagCheckpoint != 0
-		op = server.OpSessionOpen
-		wire = server.EncodeSessionOpenFlags(overlap, server.SessionOpenFlagCheckpoint)
+	start, err := server.DecodeSessionStart(op, body)
+	if err != nil {
+		g.replyErr(c, id, ts, server.ErrCodeBadFrame, err)
+		return
+	}
+	clientFlags := start.Flags
+	start.Flags, start.Ckpt = server.SessionOpenFlagCheckpoint, bytes.Clone(start.Ckpt)
+	op, wire, err := server.EncodeSessionStart(start)
+	if err != nil {
+		g.replyErr(c, id, ts, server.ErrCodeBadFrame, err)
+		return
 	}
 
 	order := g.ring.Order(key)
@@ -131,15 +117,15 @@ func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, bod
 			// falls to its idle reaper.
 			continue
 		}
-		backendID, overlap, gen, derr := server.DecodeSessionOKGen(f.Body)
+		backendID, overlap, gen, derr := server.DecodeSessionOK(f.Body, server.SessionOpenFlagCheckpoint)
 		if derr != nil {
 			g.replyErr(c, id, ts, server.ErrCodeScan, fmt.Errorf("shard session-ok: %w", derr))
 			return
 		}
 		p := placement{backendID: backendID, backend: idx, ts: ts,
-			key: key, overlap: overlap, gen: gen, ckpt: seedCkpt, clientCkpt: clientCkpt}
-		if seedCkpt != nil {
-			if info, perr := core.PeekCheckpoint(seedCkpt); perr == nil {
+			key: key, overlap: overlap, gen: gen, ckpt: start.Ckpt, clientFlags: clientFlags}
+		if start.Ckpt != nil {
+			if info, perr := core.PeekCheckpoint(start.Ckpt); perr == nil {
 				p.fin = info.Consumed - info.Buffered
 			}
 		}
@@ -148,16 +134,13 @@ func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, bod
 			break
 		}
 		g.met.sessOpens.Inc()
-		if restore {
+		if start.Ckpt != nil {
 			g.met.sessRestores.Inc()
 		}
 		ts.ok.Inc()
 		g.met.ok.Inc()
-		okBody := server.EncodeSessionOK(sess.ID, overlap)
-		if clientCkpt {
-			okBody = server.EncodeSessionOKGen(sess.ID, overlap, gen)
-		}
-		c.WriteFrame(server.Frame{Op: server.OpSessionOK, ID: id, Body: okBody})
+		c.WriteFrame(server.Frame{Op: server.OpSessionOK, ID: id,
+			Body: server.EncodeSessionOK(sess.ID, overlap, gen, clientFlags)})
 		return
 	}
 	g.shedReply(c, id, ts, server.ShedReasonCapacity)
@@ -169,13 +152,12 @@ func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, bod
 // full FIFO or fair queue sheds — the frame was not forwarded, so the
 // client may resend it.
 func (g *Gateway) dispatchSessionFrame(c *server.Conn, ts *tenantState, op byte, body []byte, id uint32) {
-	if len(body) < 8 {
+	gwID, err := server.SessionID(op, body)
+	if err != nil {
 		ts.quota.give()
-		g.replyErr(c, id, ts, server.ErrCodeBadFrame,
-			fmt.Errorf("%s body %d bytes", server.OpName(op), len(body)))
+		g.replyErr(c, id, ts, server.ErrCodeBadFrame, err)
 		return
 	}
-	gwID := binary.BigEndian.Uint64(body)
 	verdict := server.SessionGone
 	if sess := g.sessions.Lookup(c, gwID); sess != nil && sess.State.ts == ts {
 		verdict = g.sessions.Push(sess, func(closed bool) {
@@ -256,12 +238,11 @@ func (g *Gateway) forwardSessionFrame(sess *gwSession, c *server.Conn, op byte, 
 }
 
 // rewriteSessionID swaps the client-facing gateway id at the head of a
-// session frame body for the current shard's own id.
+// session frame body for the current shard's own id; dispatch already
+// read the id, so the body parses.
 func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
-	wire := make([]byte, len(body))
-	binary.BigEndian.PutUint64(wire, sess.State.backendID)
-	copy(wire[8:], body[8:])
-	return wire
+	_, chunk, _ := server.DecodeSessionData(body)
+	return server.EncodeSessionData(sess.State.backendID, chunk)
 }
 
 // failoverSessionFrame moves a stream whose shard was lost mid-frame:
@@ -293,17 +274,12 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 			continue
 		}
 
-		// Rebuild the stream on the candidate replica.
-		var (
-			rop  byte
-			wire []byte
-		)
-		if sess.State.ckpt != nil {
-			rop = server.OpSessionRestore
-			wire = server.EncodeSessionRestore(server.SessionOpenFlagCheckpoint, sess.State.ckpt)
-		} else {
-			rop = server.OpSessionOpen
-			wire = server.EncodeSessionOpenFlags(sess.State.overlap, server.SessionOpenFlagCheckpoint)
+		// Rebuild the stream on the candidate replica: a restore of the
+		// last acked checkpoint, or a fresh open when none was acked.
+		rop, wire, err := server.EncodeSessionStart(server.SessionStart{Overlap: sess.State.overlap,
+			Flags: server.SessionOpenFlagCheckpoint, Ckpt: sess.State.ckpt})
+		if err != nil {
+			continue
 		}
 		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
 		f, err := g.bs.Do(ctx, idx, rop, server.OpSessionOK, wire)
@@ -313,7 +289,7 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 			// set disagrees with the checkpoint answers one): walk on.
 			continue
 		}
-		backendID, _, gen, derr := server.DecodeSessionOKGen(f.Body)
+		backendID, _, gen, derr := server.DecodeSessionOK(f.Body, server.SessionOpenFlagCheckpoint)
 		if derr != nil {
 			continue
 		}
@@ -370,7 +346,7 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 // replayed matches against it, and re-encode for the client — plain
 // unless the client negotiated checkpoints itself.
 func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f server.Frame, id uint32, replayed bool) {
-	final, consumed, ms, ckpt, derr := server.DecodeSessionMatchesCkpt(f.Body)
+	final, consumed, ms, ckpt, derr := server.DecodeSessionMatches(f.Body, server.SessionOpenFlagCheckpoint)
 	if derr != nil {
 		// The shard broke the protocol; nothing downstream can be
 		// trusted. Terminal.
@@ -406,13 +382,11 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f se
 	}
 	sess.State.ts.ok.Inc()
 	g.met.ok.Inc()
-	var out []byte
-	if sess.State.clientCkpt {
-		out = server.EncodeSessionMatchesCkpt(final, consumed, ms, ckpt)
-	} else {
-		out = server.EncodeSessionMatches(final, consumed, ms)
+	if sess.State.clientFlags&server.SessionOpenFlagCheckpoint == 0 {
+		ckpt = nil
 	}
-	c.WriteFrame(server.Frame{Op: server.OpSessionMatches, ID: id, Body: out})
+	c.WriteFrame(server.Frame{Op: server.OpSessionMatches, ID: id,
+		Body: server.EncodeSessionMatches(final, consumed, ms, ckpt)})
 }
 
 // SessionCount reports the open mapping count (tests and diagnostics).

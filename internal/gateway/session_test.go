@@ -564,8 +564,8 @@ func TestGatewaySessionFramesBehindClose(t *testing.T) {
 		}
 		return r
 	}
-	ok := roundTrip(server.Frame{Op: server.OpSessionOpen, ID: 1, Body: server.EncodeSessionOpen(0)})
-	sid, _, err := server.DecodeSessionOK(ok.Body)
+	ok := roundTrip(server.Frame{Op: server.OpSessionOpen, ID: 1, Body: make([]byte, 4)}) // SESSION-OPEN, default overlap
+	sid, _, _, err := server.DecodeSessionOK(ok.Body, 0)
 	if ok.Op != server.OpSessionOK || err != nil {
 		t.Fatalf("open answered %s (%v)", server.OpName(ok.Op), err)
 	}
@@ -594,7 +594,7 @@ func TestGatewaySessionFramesBehindClose(t *testing.T) {
 			t.Fatalf("answer id %d, want %d (FIFO order)", r.ID, id)
 		}
 		if id == 3 {
-			if final, _, _, derr := server.DecodeSessionMatches(r.Body); r.Op != server.OpSessionMatches || derr != nil || !final {
+			if final, _, _, _, derr := server.DecodeSessionMatches(r.Body, 0); r.Op != server.OpSessionMatches || derr != nil || !final {
 				t.Fatalf("close answered %s final=%v (%v)", server.OpName(r.Op), final, derr)
 			}
 			continue

@@ -519,8 +519,9 @@ func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (ser
 		}
 		switch f.Op {
 		case server.OpShed:
-			if len(f.Body) >= 1 && f.Body[0] != 0 {
-				return server.Frame{}, &ShedError{Reason: f.Body[0]}
+			// A malformed reason still refused the request; it is diagnostic.
+			if reason, _ := server.DecodeShed(f.Body); reason != 0 {
+				return server.Frame{}, &ShedError{Reason: reason}
 			}
 			return server.Frame{}, ErrShed
 		case server.OpError:

@@ -39,35 +39,25 @@ type Session struct {
 	done    bool
 
 	// Checkpoint negotiation (OpenSessionCheckpointCtx /
-	// RestoreSessionCtx): gen is the shard rule generation the stream
-	// runs under, ckpt the post-frame carry state the last acked
-	// SESSION-MATCHES piggybacked — together everything a caller needs
-	// to SESSION-RESTORE the stream on a replica after losing this
-	// server.
-	ckptOn bool
-	gen    uint32
-	ckpt   []byte
+	// RestoreSessionCtx): flags are the SESSION-OPEN flags the stream
+	// started with, gen the server rule generation it runs under, ckpt
+	// the post-frame carry state the last acked SESSION-MATCHES
+	// piggybacked — together everything a caller needs to
+	// SESSION-RESTORE the stream on a replica after losing this server.
+	flags byte
+	gen   uint32
+	ckpt  []byte
 }
 
 // OpenSessionCtx opens a streaming session against the server's
 // current rule snapshot. overlap is the boundary carry in bytes (the
 // longest match reported identically to a one-shot scan); non-positive
-// selects the server's default. The session is pinned to the snapshot
+// selects the server's default, and one above server.MaxSessionOverlap
+// is refused before anything is sent. The session is pinned to the snapshot
 // at open — a concurrent RELOAD never splits one stream across two
 // rule-set generations.
 func (c *Client) OpenSessionCtx(ctx context.Context, overlap int) (*Session, error) {
-	if overlap < 0 {
-		overlap = 0
-	}
-	f, err := c.do(ctx, server.OpSessionOpen, server.OpSessionOK, server.EncodeSessionOpen(uint32(overlap)), false)
-	if err != nil {
-		return nil, err
-	}
-	id, neg, err := server.DecodeSessionOK(f.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: protocol desync: %w", err)
-	}
-	return &Session{c: c, id: id, overlap: neg}, nil
+	return c.startSession(ctx, server.SessionStart{Overlap: uint32(max(overlap, 0))})
 }
 
 // OpenSession opens a streaming session.
@@ -82,19 +72,7 @@ func (c *Client) OpenSession(overlap int) (*Session, error) {
 // can RestoreSessionCtx that checkpoint on a replica running the same
 // rule generation and continue the stream byte-identically.
 func (c *Client) OpenSessionCheckpointCtx(ctx context.Context, overlap int) (*Session, error) {
-	if overlap < 0 {
-		overlap = 0
-	}
-	body := server.EncodeSessionOpenFlags(uint32(overlap), server.SessionOpenFlagCheckpoint)
-	f, err := c.do(ctx, server.OpSessionOpen, server.OpSessionOK, body, false)
-	if err != nil {
-		return nil, err
-	}
-	id, neg, gen, derr := server.DecodeSessionOKGen(f.Body)
-	if derr != nil {
-		return nil, fmt.Errorf("client: protocol desync: %w", derr)
-	}
-	return &Session{c: c, id: id, overlap: neg, ckptOn: true, gen: gen}, nil
+	return c.startSession(ctx, server.SessionStart{Overlap: uint32(max(overlap, 0)), Flags: server.SessionOpenFlagCheckpoint})
 }
 
 // RestoreSessionCtx opens a streaming session seeded from an exported
@@ -104,17 +82,26 @@ func (c *Client) OpenSessionCheckpointCtx(ctx context.Context, overlap int) (*Se
 // it can itself be checkpointed onward. A garbage checkpoint answers a
 // clean typed error; no session is created.
 func (c *Client) RestoreSessionCtx(ctx context.Context, ckpt []byte) (*Session, error) {
-	body := server.EncodeSessionRestore(server.SessionOpenFlagCheckpoint, ckpt)
-	f, err := c.do(ctx, server.OpSessionRestore, server.OpSessionOK, body, false)
+	return c.startSession(ctx, server.SessionStart{Flags: server.SessionOpenFlagCheckpoint, Ckpt: ckpt})
+}
+
+// startSession sends the SESSION-OPEN or SESSION-RESTORE that start
+// describes and binds the stream the server answers with.
+func (c *Client) startSession(ctx context.Context, start server.SessionStart) (*Session, error) {
+	op, body, err := server.EncodeSessionStart(start)
 	if err != nil {
 		return nil, err
 	}
-	id, neg, gen, derr := server.DecodeSessionOKGen(f.Body)
-	if derr != nil {
-		return nil, fmt.Errorf("client: protocol desync: %w", derr)
+	f, err := c.do(ctx, op, server.OpSessionOK, body, false)
+	if err != nil {
+		return nil, err
 	}
-	return &Session{c: c, id: id, overlap: neg, ckptOn: true, gen: gen,
-		ckpt: append([]byte(nil), ckpt...)}, nil
+	id, overlap, gen, err := server.DecodeSessionOK(f.Body, start.Flags)
+	if err != nil {
+		return nil, fmt.Errorf("client: protocol desync: %w", err)
+	}
+	return &Session{c: c, id: id, overlap: overlap, flags: start.Flags, gen: gen,
+		ckpt: append([]byte(nil), start.Ckpt...)}, nil
 }
 
 // ID returns the server-assigned session id.
@@ -149,27 +136,16 @@ func (s *Session) WriteCtx(ctx context.Context, chunk []byte) (ms []server.RuleM
 		}
 		return nil, 0, err
 	}
-	if s.ckptOn {
-		final, consumed, ms, ckpt, derr := server.DecodeSessionMatchesCkpt(f.Body)
-		if derr != nil || final {
-			s.done = true
-			if derr != nil {
-				return nil, 0, fmt.Errorf("client: protocol desync: %w", derr)
-			}
-			return nil, 0, errors.New("client: protocol desync: final session answer to a data frame")
-		}
-		if ckpt != nil {
-			s.ckpt = append(s.ckpt[:0], ckpt...)
-		}
-		return ms, consumed, nil
-	}
-	final, consumed, ms, derr := server.DecodeSessionMatches(f.Body)
+	final, consumed, ms, ckpt, derr := server.DecodeSessionMatches(f.Body, s.flags)
 	if derr != nil || final {
 		s.done = true
 		if derr != nil {
 			return nil, 0, fmt.Errorf("client: protocol desync: %w", derr)
 		}
 		return nil, 0, errors.New("client: protocol desync: final session answer to a data frame")
+	}
+	if ckpt != nil {
+		s.ckpt = append(s.ckpt[:0], ckpt...)
 	}
 	return ms, consumed, nil
 }
@@ -191,7 +167,7 @@ func (s *Session) CloseCtx(ctx context.Context) (ms []server.RuleMatch, consumed
 	if err != nil {
 		return nil, 0, err
 	}
-	final, consumed, ms, derr := server.DecodeSessionMatches(f.Body)
+	final, consumed, ms, _, derr := server.DecodeSessionMatches(f.Body, s.flags)
 	if derr != nil {
 		return nil, 0, fmt.Errorf("client: protocol desync: %w", derr)
 	}

@@ -52,12 +52,12 @@ var goldenStreamFrames = []struct {
 	},
 	{
 		name:  "session-open",
-		frame: Frame{Op: OpSessionOpen, ID: 16, Body: EncodeSessionOpen(256)},
+		frame: Frame{Op: OpSessionOpen, ID: 16, Body: mustStart(SessionStart{Overlap: 256})},
 		wire:  []byte{0, 0, 0, 9, 0x0A, 0, 0, 0, 16, 0, 0, 1, 0},
 	},
 	{
 		name:  "session-ok",
-		frame: Frame{Op: OpSessionOK, ID: 16, Body: EncodeSessionOK(7, 256)},
+		frame: Frame{Op: OpSessionOK, ID: 16, Body: EncodeSessionOK(7, 256, 0, 0)},
 		wire: []byte{0, 0, 0, 17, 0x8C, 0, 0, 0, 16,
 			0, 0, 0, 0, 0, 0, 0, 7, // session id
 			0, 0, 1, 0, // effective overlap
@@ -81,7 +81,7 @@ var goldenStreamFrames = []struct {
 	{
 		name: "session-matches",
 		frame: Frame{Op: OpSessionMatches, ID: 17,
-			Body: EncodeSessionMatches(false, 1024, []RuleMatch{{Rule: 1, Start: 2, End: 5}})},
+			Body: EncodeSessionMatches(false, 1024, []RuleMatch{{Rule: 1, Start: 2, End: 5}}, nil)},
 		wire: []byte{0, 0, 0, 38, 0x8D, 0, 0, 0, 17,
 			0,                      // flags: not final
 			0, 0, 0, 0, 0, 0, 4, 0, // consumed
@@ -93,7 +93,7 @@ var goldenStreamFrames = []struct {
 	},
 	{
 		name:  "session-matches-final",
-		frame: Frame{Op: OpSessionMatches, ID: 18, Body: EncodeSessionMatches(true, 3, nil)},
+		frame: Frame{Op: OpSessionMatches, ID: 18, Body: EncodeSessionMatches(true, 3, nil, nil)},
 		wire: []byte{0, 0, 0, 18, 0x8D, 0, 0, 0, 18,
 			1,                      // flags: final
 			0, 0, 0, 0, 0, 0, 0, 3, // consumed
@@ -106,6 +106,15 @@ var goldenStreamFrames = []struct {
 		wire: append([]byte{0, 0, 0, 23, 0xE0, 0, 0, 0, 19, 6},
 			[]byte("unknown session 9")...),
 	},
+}
+
+// mustStart encodes the SESSION-OPEN or SESSION-RESTORE body of s.
+func mustStart(s SessionStart) []byte {
+	_, b, err := EncodeSessionStart(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func mustScanBatch(items [][]byte) []byte {
@@ -216,29 +225,33 @@ func TestDecodeMalformedStreamBodies(t *testing.T) {
 			_, err := DecodeBatchResults(append(append([]byte(nil), okResp...), 0xFF))
 			return err
 		}()},
-		{"session-open-short", func() error { _, err := DecodeSessionOpen([]byte{0, 0, 1}); return err }()},
-		{"session-open-long", func() error { _, err := DecodeSessionOpen([]byte{0, 0, 0, 1, 0}); return err }()},
-		{"session-open-overlap-oversize", func() error {
-			_, err := DecodeSessionOpen([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+		{"session-open-short", func() error { _, err := DecodeSessionStart(OpSessionOpen, []byte{0, 0, 1}); return err }()},
+		{"session-open-long", func() error {
+			_, err := DecodeSessionStart(OpSessionOpen, []byte{0, 0, 0, 1, 0, 0})
 			return err
 		}()},
-		{"session-ok-short", func() error { _, _, err := DecodeSessionOK([]byte{1, 2, 3}); return err }()},
+		{"session-open-overlap-oversize", func() error {
+			_, err := DecodeSessionStart(OpSessionOpen, []byte{0xFF, 0xFF, 0xFF, 0xFF})
+			return err
+		}()},
+		{"session-ok-short", func() error { _, _, _, err := DecodeSessionOK([]byte{1, 2, 3}, 0); return err }()},
 		{"session-data-short", func() error { _, _, err := DecodeSessionData([]byte{1, 2, 3, 4, 5, 6, 7}); return err }()},
 		{"session-close-short", func() error { _, err := DecodeSessionClose([]byte{1, 2, 3}); return err }()},
+		{"session-id-short", func() error { _, err := SessionID(OpSessionClose, []byte{1, 2, 3}); return err }()},
 		{"session-close-long", func() error {
 			_, err := DecodeSessionClose([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0})
 			return err
 		}()},
-		{"session-matches-short", func() error { _, _, _, err := DecodeSessionMatches([]byte{0, 1, 2}); return err }()},
+		{"session-matches-short", func() error { _, _, _, _, err := DecodeSessionMatches([]byte{0, 1, 2}, 0); return err }()},
 		{"session-matches-reserved-flag", func() error {
-			body := EncodeSessionMatches(false, 0, nil)
+			body := EncodeSessionMatches(false, 0, nil, nil)
 			body[0] = 0x02
-			_, _, _, err := DecodeSessionMatches(body)
+			_, _, _, _, err := DecodeSessionMatches(body, 0)
 			return err
 		}()},
 		{"session-matches-bad-inner", func() error {
-			body := EncodeSessionMatches(false, 0, nil)
-			_, _, _, err := DecodeSessionMatches(append(body, 0xAA))
+			body := EncodeSessionMatches(false, 0, nil, nil)
+			_, _, _, _, err := DecodeSessionMatches(append(body, 0xAA), 0)
 			return err
 		}()},
 	}
@@ -280,10 +293,10 @@ func TestStreamEncodeDecodeRoundTrips(t *testing.T) {
 		t.Fatal("Failed() misreports item status")
 	}
 
-	if ov, err := DecodeSessionOpen(EncodeSessionOpen(4096)); err != nil || ov != 4096 {
-		t.Fatalf("session-open: %d %v", ov, err)
+	if st, err := DecodeSessionStart(OpSessionOpen, mustStart(SessionStart{Overlap: 4096})); err != nil || st.Overlap != 4096 {
+		t.Fatalf("session-open: %+v %v", st, err)
 	}
-	if id, ov, err := DecodeSessionOK(EncodeSessionOK(1<<40, 256)); err != nil || id != 1<<40 || ov != 256 {
+	if id, ov, _, err := DecodeSessionOK(EncodeSessionOK(1<<40, 256, 0, 0), 0); err != nil || id != 1<<40 || ov != 256 {
 		t.Fatalf("session-ok: %d %d %v", id, ov, err)
 	}
 	id, chunk, err := DecodeSessionData(EncodeSessionData(9, []byte("chunk")))
@@ -294,7 +307,7 @@ func TestStreamEncodeDecodeRoundTrips(t *testing.T) {
 		t.Fatalf("session-close: %d %v", id, err)
 	}
 	ms := []RuleMatch{{Rule: 0, Start: 5, End: 9}}
-	fin, consumed, gotMs, err := DecodeSessionMatches(EncodeSessionMatches(true, 1<<33, ms))
+	fin, consumed, gotMs, _, err := DecodeSessionMatches(EncodeSessionMatches(true, 1<<33, ms, nil), 0)
 	if err != nil || !fin || consumed != 1<<33 || !reflect.DeepEqual(gotMs, ms) {
 		t.Fatalf("session-matches: %v %d %+v %v", fin, consumed, gotMs, err)
 	}
@@ -337,7 +350,7 @@ var goldenCheckpointFrames = []struct {
 }{
 	{
 		name:  "session-open-ckpt",
-		frame: Frame{Op: OpSessionOpen, ID: 20, Body: EncodeSessionOpenFlags(256, SessionOpenFlagCheckpoint)},
+		frame: Frame{Op: OpSessionOpen, ID: 20, Body: mustStart(SessionStart{Overlap: 256, Flags: SessionOpenFlagCheckpoint})},
 		wire: []byte{0, 0, 0, 10, 0x0A, 0, 0, 0, 20,
 			0, 0, 1, 0, // requested overlap
 			0x01, // flags: checkpoint negotiation
@@ -345,7 +358,7 @@ var goldenCheckpointFrames = []struct {
 	},
 	{
 		name:  "session-restore",
-		frame: Frame{Op: OpSessionRestore, ID: 21, Body: EncodeSessionRestore(SessionOpenFlagCheckpoint, []byte{0xCA, 0xFE})},
+		frame: Frame{Op: OpSessionRestore, ID: 21, Body: mustStart(SessionStart{Flags: SessionOpenFlagCheckpoint, Ckpt: []byte{0xCA, 0xFE}})},
 		wire: []byte{0, 0, 0, 8, 0x0D, 0, 0, 0, 21,
 			0x01,       // flags: checkpoint negotiation stays on
 			0xCA, 0xFE, // opaque checkpoint bytes (engine-validated)
@@ -353,7 +366,7 @@ var goldenCheckpointFrames = []struct {
 	},
 	{
 		name:  "session-ok-gen",
-		frame: Frame{Op: OpSessionOK, ID: 20, Body: EncodeSessionOKGen(7, 256, 3)},
+		frame: Frame{Op: OpSessionOK, ID: 20, Body: EncodeSessionOK(7, 256, 3, SessionOpenFlagCheckpoint)},
 		wire: []byte{0, 0, 0, 21, 0x8C, 0, 0, 0, 20,
 			0, 0, 0, 0, 0, 0, 0, 7, // session id
 			0, 0, 1, 0, // effective overlap
@@ -414,65 +427,54 @@ func TestReadFrameTruncatedCheckpoint(t *testing.T) {
 // Every truncation, flag violation and length lie on the checkpoint
 // bodies must decode to ErrMalformedFrame.
 func TestDecodeMalformedCheckpointBodies(t *testing.T) {
-	ckptBody := EncodeSessionMatchesCkpt(false, 7, nil, []byte{1, 2, 3})
+	const ck = SessionOpenFlagCheckpoint
+	ckptBody := EncodeSessionMatches(false, 7, nil, []byte{1, 2, 3})
+	withFlag := func(flag byte, tail ...byte) []byte {
+		body := append(EncodeSessionMatches(false, 0, nil, nil), tail...)
+		body[0] |= flag
+		return body
+	}
 	cases := []struct {
 		name string
 		err  error
 	}{
 		{"open-flags-unknown", func() error {
-			_, _, err := DecodeSessionOpenFlags([]byte{0, 0, 0, 1, 0x80})
+			_, err := DecodeSessionStart(OpSessionOpen, []byte{0, 0, 0, 1, 0x80})
 			return err
 		}()},
 		{"open-flags-overlong", func() error {
-			_, _, err := DecodeSessionOpenFlags([]byte{0, 0, 0, 1, 0, 0})
+			_, err := DecodeSessionStart(OpSessionOpen, []byte{0, 0, 0, 1, 1, 0})
 			return err
 		}()},
-		{"restore-empty", func() error { _, _, err := DecodeSessionRestore(nil); return err }()},
-		{"restore-flags-only", func() error { _, _, err := DecodeSessionRestore([]byte{0x01}); return err }()},
+		{"restore-empty", func() error { _, err := DecodeSessionStart(OpSessionRestore, nil); return err }()},
+		{"restore-flags-only", func() error { _, err := DecodeSessionStart(OpSessionRestore, []byte{0x01}); return err }()},
 		{"restore-unknown-flags", func() error {
-			_, _, err := DecodeSessionRestore([]byte{0x80, 1, 2})
+			_, err := DecodeSessionStart(OpSessionRestore, []byte{0x80, 1, 2})
 			return err
 		}()},
-		{"ok-gen-short", func() error {
-			_, _, _, err := DecodeSessionOKGen(make([]byte, 15))
-			return err
-		}()},
-		{"ok-gen-long", func() error {
-			_, _, _, err := DecodeSessionOKGen(make([]byte, 17))
-			return err
-		}()},
+		{"ok-gen-short", func() error { _, _, _, err := DecodeSessionOK(make([]byte, 15), ck); return err }()},
+		{"ok-gen-long", func() error { _, _, _, err := DecodeSessionOK(make([]byte, 17), ck); return err }()},
 		{"matches-ckpt-unknown-flags", func() error {
 			body := append([]byte(nil), ckptBody...)
 			body[0] |= 0x04
-			_, _, _, _, err := DecodeSessionMatchesCkpt(body)
+			_, _, _, _, err := DecodeSessionMatches(body, ck)
 			return err
 		}()},
-		{"matches-ckpt-truncated-length", func() error {
-			body := EncodeSessionMatches(false, 0, nil)
-			body[0] |= 0x02
-			_, _, _, _, err := DecodeSessionMatchesCkpt(body)
-			return err
-		}()},
+		{"matches-ckpt-truncated-length", func() error { _, _, _, _, err := DecodeSessionMatches(withFlag(0x02), ck); return err }()},
 		{"matches-ckpt-zero-length", func() error {
-			plain := EncodeSessionMatches(false, 0, nil)
-			body := append(append([]byte(nil), plain...), 0, 0, 0, 0)
-			body[0] |= 0x02
-			_, _, _, _, err := DecodeSessionMatchesCkpt(body)
+			_, _, _, _, err := DecodeSessionMatches(withFlag(0x02, 0, 0, 0, 0), ck)
 			return err
 		}()},
 		{"matches-ckpt-overrun", func() error {
-			plain := EncodeSessionMatches(false, 0, nil)
-			body := append(append([]byte(nil), plain...), 0, 0, 0, 9, 1)
-			body[0] |= 0x02
-			_, _, _, _, err := DecodeSessionMatchesCkpt(body)
+			_, _, _, _, err := DecodeSessionMatches(withFlag(0x02, 0, 0, 0, 9, 1), ck)
 			return err
 		}()},
 		{"matches-ckpt-trailing", func() error {
-			_, _, _, _, err := DecodeSessionMatchesCkpt(append(append([]byte(nil), ckptBody...), 0xFF))
+			_, _, _, _, err := DecodeSessionMatches(append(append([]byte(nil), ckptBody...), 0xFF), ck)
 			return err
 		}()},
 		{"matches-plain-rejects-ckpt-flag", func() error {
-			_, _, _, err := DecodeSessionMatches(ckptBody)
+			_, _, _, _, err := DecodeSessionMatches(ckptBody, 0)
 			return err
 		}()},
 	}
@@ -484,45 +486,71 @@ func TestDecodeMalformedCheckpointBodies(t *testing.T) {
 }
 
 func TestCheckpointEncodeDecodeRoundTrips(t *testing.T) {
-	// SESSION-OPEN: both forms parse through the flags-aware decoder.
-	if ov, fl, err := DecodeSessionOpenFlags(EncodeSessionOpen(512)); err != nil || ov != 512 || fl != 0 {
-		t.Fatalf("open flagless: %d %d %v", ov, fl, err)
+	const ck = SessionOpenFlagCheckpoint
+	// SESSION-OPEN: the flags byte is optional on the wire. A flagless
+	// start encodes the 4-byte form; both forms, and a 5-byte body with
+	// a zero flags byte, decode.
+	for _, tc := range []struct {
+		body  []byte
+		flags byte
+	}{
+		{mustStart(SessionStart{Overlap: 512}), 0},
+		{mustStart(SessionStart{Overlap: 512, Flags: ck}), ck},
+		{[]byte{0, 0, 2, 0, 0}, 0},
+	} {
+		st, err := DecodeSessionStart(OpSessionOpen, tc.body)
+		if err != nil || st.Overlap != 512 || st.Flags != tc.flags || st.Ckpt != nil {
+			t.Fatalf("open % x: %+v %v", tc.body, st, err)
+		}
 	}
-	if ov, fl, err := DecodeSessionOpenFlags(EncodeSessionOpenFlags(512, SessionOpenFlagCheckpoint)); err != nil ||
-		ov != 512 || fl != SessionOpenFlagCheckpoint {
-		t.Fatalf("open flagged: %d %d %v", ov, fl, err)
+	if got := mustStart(SessionStart{Overlap: 512}); len(got) != 4 {
+		t.Fatalf("flagless open encoded %d bytes, want the 4-byte form", len(got))
 	}
 
-	// SESSION-RESTORE round trip.
-	ck := []byte{1, 0, 0, 0, 16, 7}
-	fl, gotCk, err := DecodeSessionRestore(EncodeSessionRestore(SessionOpenFlagCheckpoint, ck))
-	if err != nil || fl != SessionOpenFlagCheckpoint || !bytes.Equal(gotCk, ck) {
-		t.Fatalf("restore: %d %v %v", fl, gotCk, err)
+	// SESSION-RESTORE round trip: a checkpoint selects the opcode.
+	ck6 := []byte{1, 0, 0, 0, 16, 7}
+	op, body, err := EncodeSessionStart(SessionStart{Flags: ck, Ckpt: ck6})
+	if err != nil || op != OpSessionRestore {
+		t.Fatalf("restore encode: op %s err %v", OpName(op), err)
+	}
+	st, err := DecodeSessionStart(op, body)
+	if err != nil || st.Flags != ck || !bytes.Equal(st.Ckpt, ck6) {
+		t.Fatalf("restore: %+v %v", st, err)
+	}
+	if op, body, err := EncodeSessionStart(SessionStart{Ckpt: []byte{}}); err != nil || op != OpSessionRestore || len(body) != 1 {
+		t.Fatalf("empty-checkpoint restore: op %s body % x err %v, want the server to judge it", OpName(op), body, err)
+	}
+	if _, _, err := EncodeSessionStart(SessionStart{Overlap: MaxSessionOverlap + 1}); !errors.Is(err, ErrMalformedFrame) {
+		t.Fatalf("oversized overlap encoded: %v", err)
 	}
 
-	// SESSION-OK generation form; the flagless decoder must reject its
-	// length rather than misparse the generation as part of the id.
-	id, ov, gen, err := DecodeSessionOKGen(EncodeSessionOKGen(1<<40, 256, 9))
+	// SESSION-OK generation form; a stream that did not negotiate
+	// checkpoints must reject its length rather than misparse the
+	// generation as part of the id.
+	id, ov, gen, err := DecodeSessionOK(EncodeSessionOK(1<<40, 256, 9, ck), ck)
 	if err != nil || id != 1<<40 || ov != 256 || gen != 9 {
 		t.Fatalf("ok-gen: %d %d %d %v", id, ov, gen, err)
 	}
-	if _, _, err := DecodeSessionOK(EncodeSessionOKGen(1, 2, 3)); !errors.Is(err, ErrMalformedFrame) {
+	if _, _, _, err := DecodeSessionOK(EncodeSessionOK(1, 2, 3, ck), 0); !errors.Is(err, ErrMalformedFrame) {
 		t.Fatalf("flagless SESSION-OK decoder accepted the generation form: %v", err)
 	}
 
-	// SESSION-MATCHES piggyback: nil checkpoint degrades to the plain
-	// form byte for byte; the ckpt-aware decoder handles both.
+	// SESSION-MATCHES piggyback: an empty checkpoint sends the plain form
+	// byte for byte, the benchmark's name encodes the same bytes, and a
+	// stream that negotiated checkpoints decodes both forms.
 	ms := []RuleMatch{{Rule: 2, Start: 3, End: 9}}
-	if !bytes.Equal(EncodeSessionMatchesCkpt(true, 77, ms, nil), EncodeSessionMatches(true, 77, ms)) {
-		t.Fatal("nil-checkpoint piggyback encoding diverged from the plain form")
+	plain := EncodeSessionMatches(true, 77, ms, nil)
+	if !bytes.Equal(EncodeSessionMatches(true, 77, ms, []byte{}), plain) ||
+		!bytes.Equal(EncodeSessionMatchesCkpt(false, 5, ms, ck6), EncodeSessionMatches(false, 5, ms, ck6)) {
+		t.Fatal("empty-checkpoint or benchmark-name encoding diverged")
 	}
-	fin, consumed, gotMs, gotCk2, err := DecodeSessionMatchesCkpt(EncodeSessionMatches(false, 5, ms))
-	if err != nil || fin || consumed != 5 || gotCk2 != nil || !reflect.DeepEqual(gotMs, ms) {
-		t.Fatalf("ckpt decoder on plain form: %v %d %+v %v %v", fin, consumed, gotMs, gotCk2, err)
+	fin, consumed, gotMs, gotCk, err := DecodeSessionMatches(EncodeSessionMatches(false, 5, ms, nil), ck)
+	if err != nil || fin || consumed != 5 || gotCk != nil || !reflect.DeepEqual(gotMs, ms) {
+		t.Fatalf("ckpt decoder on plain form: %v %d %+v %v %v", fin, consumed, gotMs, gotCk, err)
 	}
-	fin, consumed, gotMs, gotCk2, err = DecodeSessionMatchesCkpt(EncodeSessionMatchesCkpt(false, 5, ms, ck))
-	if err != nil || fin || consumed != 5 || !bytes.Equal(gotCk2, ck) || !reflect.DeepEqual(gotMs, ms) {
-		t.Fatalf("ckpt round trip: %v %d %+v %v %v", fin, consumed, gotMs, gotCk2, err)
+	fin, consumed, gotMs, gotCk, err = DecodeSessionMatches(EncodeSessionMatches(false, 5, ms, ck6), ck)
+	if err != nil || fin || consumed != 5 || !bytes.Equal(gotCk, ck6) || !reflect.DeepEqual(gotMs, ms) {
+		t.Fatalf("ckpt round trip: %v %d %+v %v %v", fin, consumed, gotMs, gotCk, err)
 	}
 }
 
@@ -533,7 +561,7 @@ func TestSessionRestoreQueueClass(t *testing.T) {
 	if !QueueClass(OpSessionRestore) {
 		t.Error("OpSessionRestore: want queue-class")
 	}
-	if _, err := EncodeTenant(TenantHeader{Tenant: "t"}, OpSessionRestore, EncodeSessionRestore(1, []byte{1})); err != nil {
+	if _, err := EncodeTenant(TenantHeader{Tenant: "t"}, OpSessionRestore, mustStart(SessionStart{Flags: 1, Ckpt: []byte{1}})); err != nil {
 		t.Errorf("TENANT wrap of SESSION-RESTORE failed: %v", err)
 	}
 	if OpName(OpSessionRestore) != "SESSION-RESTORE" {

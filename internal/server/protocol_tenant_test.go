@@ -59,12 +59,12 @@ func TestGoldenTenantFrames(t *testing.T) {
 		},
 		{
 			name:  "shed-reason-quota",
-			frame: Frame{Op: OpShed, ID: 9, Body: []byte{ShedReasonQuota}},
+			frame: Frame{Op: OpShed, ID: 9, Body: EncodeShed(ShedReasonQuota)},
 			wire:  []byte{0, 0, 0, 6, 0xEE, 0, 0, 0, 9, 0x02},
 		},
 		{
 			name:  "shed-reason-capacity",
-			frame: Frame{Op: OpShed, ID: 10, Body: []byte{ShedReasonCapacity}},
+			frame: Frame{Op: OpShed, ID: 10, Body: EncodeShed(ShedReasonCapacity)},
 			wire:  []byte{0, 0, 0, 6, 0xEE, 0, 0, 0, 10, 0x04},
 		},
 		{

@@ -108,7 +108,7 @@ var goldenFrames = []struct {
 	},
 	{
 		name:  "shed",
-		frame: Frame{Op: OpShed, ID: 12},
+		frame: Frame{Op: OpShed, ID: 12, Body: EncodeShed(0)},
 		wire:  []byte{0, 0, 0, 5, 0xEE, 0, 0, 0, 12},
 	},
 }

@@ -433,18 +433,23 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one admitted request under the per-request timeout and
-// writes its response.
-func (s *Server) execute(j *job) {
+// begin is every admitted request's preamble, plain or session: run
+// the scan hook, then bound the request by the per-request timeout.
+func (s *Server) begin() (context.Context, context.CancelFunc) {
 	if s.cfg.ScanHook != nil {
 		s.cfg.ScanHook()
 	}
-	ctx := s.Context()
 	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+		return context.WithTimeout(s.Context(), s.cfg.RequestTimeout)
 	}
+	return s.Context(), func() {}
+}
+
+// execute runs one admitted request under the per-request timeout and
+// writes its response.
+func (s *Server) execute(j *job) {
+	ctx, cancel := s.begin()
+	defer cancel()
 	switch j.f.Op {
 	case OpScan:
 		s.met.scan.requests.Inc()
@@ -500,10 +505,8 @@ func (s *Server) execute(j *job) {
 		s.met.reload.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpScanBatch:
 		s.executeBatch(ctx, j)
-	case OpSessionOpen:
-		s.openSession(j)
-	case OpSessionRestore:
-		s.restoreSession(j)
+	case OpSessionOpen, OpSessionRestore:
+		s.startSession(j)
 	}
 }
 

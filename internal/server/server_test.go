@@ -533,6 +533,49 @@ func TestServerBadFrameErrorDelivered(t *testing.T) {
 	})
 }
 
+// TestServerSessionBodyMalformed: a SESSION-DATA or SESSION-CLOSE body
+// too short to hold its session id, and a SESSION-OPEN or
+// SESSION-RESTORE body the codec refuses, answer bad-frame on their own
+// id — not unknown-session, and never a desync: the connection then
+// serves a PING.
+func TestServerSessionBodyMalformed(t *testing.T) {
+	eachFrontEnd(t, func(t *testing.T, build func(frontOpts) frontEnd) {
+		addr := serve(t, build(frontOpts{}))
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i, f := range []server.Frame{
+			{Op: server.OpSessionData, Body: []byte{0, 0, 7}},
+			{Op: server.OpSessionClose, Body: []byte{0, 0}},
+			{Op: server.OpSessionOpen, Body: []byte{0, 0, 0, 0, 0x80}},
+			{Op: server.OpSessionRestore, Body: []byte{server.SessionOpenFlagCheckpoint}},
+		} {
+			f.ID = uint32(i + 1)
+			if err := server.WriteFrame(nc, f); err != nil {
+				t.Fatal(err)
+			}
+			got, err := server.ReadFrame(nc, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", server.OpName(f.Op), err)
+			}
+			code, _, derr := server.DecodeError(got.Body)
+			if got.Op != server.OpError || got.ID != f.ID || derr != nil || code != server.ErrCodeBadFrame {
+				t.Fatalf("%s: got %s id %d code %d (%v), want ERROR bad-frame on id %d",
+					server.OpName(f.Op), server.OpName(got.Op), got.ID, code, derr, f.ID)
+			}
+		}
+		if err := server.WriteFrame(nc, server.Frame{Op: server.OpPing, ID: 9}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := server.ReadFrame(nc, 0); err != nil || got.Op != server.OpPong || got.ID != 9 {
+			t.Fatalf("PING after malformed session bodies: %+v %v", got, err)
+		}
+	})
+}
+
 // TestServerStats exercises the STATS endpoint end to end: the decoded
 // snapshot must carry the request counters the traffic just generated.
 func TestServerStats(t *testing.T) {
@@ -553,7 +596,16 @@ func TestServerStats(t *testing.T) {
 	if got := snap.Get("server.matches"); got != 3 {
 		t.Fatalf("server.matches = %d, want 3", got)
 	}
+	// A request's latency is observed once its response is written, so
+	// the last scan's observation can land just after the client read
+	// that response: re-read STATS (a round trip each) until it shows.
 	m, ok := snap.Find("server.scan.latency_us")
+	for try := 0; try < 1000 && !(ok && m.Count == 3); try++ {
+		if snap, err = c.Stats(); err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		m, ok = snap.Find("server.scan.latency_us")
+	}
 	if !ok || m.Count != 3 {
 		t.Fatalf("scan latency histogram = %+v (ok=%v), want 3 observations", m, ok)
 	}

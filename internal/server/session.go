@@ -15,7 +15,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -31,69 +30,47 @@ type stream struct {
 // session is one open streaming session; its queued frames are jobs.
 type session = Session[stream, *job]
 
-// openSession executes an admitted SESSION-OPEN: allocate the session
-// against the current snapshot and reply SESSION-OK. The session limit
-// sheds (an authoritative refusal before any state was created — safe
-// to retry after backoff).
-func (s *Server) openSession(j *job) {
-	overlap, flags, err := DecodeSessionOpenFlags(j.f.Body)
+// startSession executes an admitted SESSION-OPEN or SESSION-RESTORE:
+// build the stream against the current snapshot — fresh, or rebuilt
+// from the carried checkpoint — install it in the table and answer
+// SESSION-OK, carrying the rule generation when the caller negotiated
+// checkpoints (the generation is the failover fence — a checkpoint may
+// only be restored under the generation it was exported under). A body
+// or checkpoint that fails validation — garbage bytes, a rule count
+// that disagrees with the snapshot, broken carry invariants — answers a
+// parseable ERROR on this frame alone; the connection never desyncs and
+// no session state is created. At the MaxSessions cap it sheds — an
+// authoritative refusal before any state escaped, safe to retry after
+// backoff.
+func (s *Server) startSession(j *job) {
+	start, err := DecodeSessionStart(j.f.Op, j.f.Body)
 	if err != nil {
 		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 		return
 	}
 	snap := s.snap.Load()
-	if s.registerSession(j, snap, snap.rules.NewStream(int(overlap)), flags) {
-		s.met.sessOpens.Inc()
+	var st *core.Stream
+	started := s.met.sessOpens
+	if start.Ckpt == nil {
+		st = snap.rules.NewStream(int(start.Overlap))
+	} else {
+		if st, err = snap.rules.RestoreStream(start.Ckpt); err == nil && st.Overlap() > MaxSessionOverlap {
+			err = fmt.Errorf("%w: checkpoint overlap %d exceeds %d", ErrMalformedFrame, st.Overlap(), MaxSessionOverlap)
+		}
+		if err != nil {
+			j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
+			return
+		}
+		started = s.met.sessRestores
 	}
-}
-
-// restoreSession executes an admitted SESSION-RESTORE: rebuild the
-// stream from the carried checkpoint against the current snapshot and
-// register it like a fresh open. A checkpoint that fails validation —
-// garbage bytes, a rule count that disagrees with the snapshot, broken
-// carry invariants — answers a parseable ERROR on this frame alone;
-// the connection never desyncs and no session state is created.
-func (s *Server) restoreSession(j *job) {
-	flags, ckpt, err := DecodeSessionRestore(j.f.Body)
-	if err != nil {
-		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
-		return
-	}
-	snap := s.snap.Load()
-	st, err := snap.rules.RestoreStream(ckpt)
-	if err != nil {
-		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
-		return
-	}
-	if st.Overlap() > MaxSessionOverlap {
-		j.c.ReplyErr(j.f.ID, ErrCodeBadFrame,
-			fmt.Errorf("%w: checkpoint overlap %d exceeds %d", ErrMalformedFrame, st.Overlap(), MaxSessionOverlap))
-		return
-	}
-	if s.registerSession(j, snap, st, flags) {
-		s.met.sessRestores.Inc()
-	}
-}
-
-// registerSession installs a freshly built stream in the table and
-// answers SESSION-OK: the plain 12-byte form, or the extended form
-// carrying the rule generation when the caller negotiated checkpoints
-// (the generation is the failover fence — a checkpoint may only be
-// restored under the generation it was exported under). At the
-// MaxSessions cap it sheds instead — an authoritative refusal before
-// any state escaped, safe to retry after backoff.
-func (s *Server) registerSession(j *job, snap *snapshot, st *core.Stream, flags byte) bool {
-	sess := s.sessions.Open(j.c, stream{st: st, ckpt: flags&SessionOpenFlagCheckpoint != 0})
+	sess := s.sessions.Open(j.c, stream{st: st, ckpt: start.Flags&SessionOpenFlagCheckpoint != 0})
 	if sess == nil {
 		s.shed(j.c, j.f.ID)
-		return false
+		return
 	}
-	body := EncodeSessionOK(sess.ID, uint32(st.Overlap()))
-	if sess.State.ckpt {
-		body = EncodeSessionOKGen(sess.ID, uint32(st.Overlap()), snap.generation)
-	}
-	j.c.WriteFrame(Frame{Op: OpSessionOK, ID: j.f.ID, Body: body})
-	return true
+	j.c.WriteFrame(Frame{Op: OpSessionOK, ID: j.f.ID,
+		Body: EncodeSessionOK(sess.ID, uint32(st.Overlap()), snap.generation, start.Flags)})
+	started.Inc()
 }
 
 // dispatchSession admits one SESSION-DATA/SESSION-CLOSE frame on the
@@ -101,12 +78,11 @@ func (s *Server) registerSession(j *job, snap *snapshot, st *core.Stream, flags 
 // frame was not absorbed into the stream, so the client may resend the
 // same chunk after backoff without corrupting the flow.
 func (s *Server) dispatchSession(c *Conn, f Frame, start time.Time) {
-	if len(f.Body) < sessionIDLen {
-		c.ReplyErr(f.ID, ErrCodeBadFrame,
-			fmt.Errorf("%w: %s body %d bytes", ErrMalformedFrame, OpName(f.Op), len(f.Body)))
+	id, err := SessionID(f.Op, f.Body)
+	if err != nil {
+		c.ReplyErr(f.ID, ErrCodeBadFrame, err)
 		return
 	}
-	id := binary.BigEndian.Uint64(f.Body)
 	verdict := SessionGone
 	if sess := s.sessions.Lookup(c, id); sess != nil {
 		verdict = s.sessions.Push(sess, &job{c: c, f: f, admitted: start})
@@ -135,15 +111,8 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 		j.c.ReplyErr(j.f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", sess.ID))
 		return
 	}
-	if s.cfg.ScanHook != nil {
-		s.cfg.ScanHook()
-	}
-	ctx := s.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.begin()
+	defer cancel()
 	var ms []RuleMatch
 	emit := func(rule int, m core.Match, _ []byte) bool {
 		ms = append(ms, RuleMatch{Rule: uint32(rule), Start: uint64(m.Start), End: uint64(m.End)})
@@ -152,7 +121,7 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 	st := sess.State.st
 	switch j.f.Op {
 	case OpSessionData:
-		chunk := j.f.Body[sessionIDLen:]
+		_, chunk, _ := DecodeSessionData(j.f.Body) // dispatchSession read the id: it parses
 		s.met.sessData.requests.Inc()
 		s.met.sessData.bytes.Add(int64(len(chunk)))
 		if _, err := st.PushCtx(ctx, chunk, emit); err != nil {
@@ -169,12 +138,11 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 			ckpt = st.Export()
 		}
 		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatchesCkpt(false, uint64(st.Consumed()), ms, ckpt)})
+			Body: EncodeSessionMatches(false, uint64(st.Consumed()), ms, ckpt)})
 		s.met.sessData.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpSessionClose:
-		if len(j.f.Body) != sessionIDLen {
-			j.c.ReplyErr(j.f.ID, ErrCodeBadFrame,
-				fmt.Errorf("%w: session-close body %d bytes", ErrMalformedFrame, len(j.f.Body)))
+		if _, err := DecodeSessionClose(j.f.Body); err != nil {
+			j.c.ReplyErr(j.f.ID, ErrCodeBadFrame, err)
 			return
 		}
 		_, err := st.FinishCtx(ctx, emit)
@@ -186,7 +154,7 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 		}
 		s.met.matches.Add(int64(len(ms)))
 		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatches(true, uint64(st.Consumed()), ms)})
+			Body: EncodeSessionMatches(true, uint64(st.Consumed()), ms, nil)})
 	}
 }
 

@@ -369,14 +369,14 @@ func TestServerSessionPipelinedFIFO(t *testing.T) {
 	defer nc.Close()
 
 	if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionOpen, ID: 1,
-		Body: server.EncodeSessionOpen(0)}); err != nil {
+		Body: make([]byte, 4)}); err != nil { // SESSION-OPEN, default overlap
 		t.Fatalf("open: %v", err)
 	}
 	f, err := server.ReadFrame(nc, server.DefaultMaxFrame)
 	if err != nil || f.Op != server.OpSessionOK {
 		t.Fatalf("open answer: op %s err %v", server.OpName(f.Op), err)
 	}
-	sid, _, err := server.DecodeSessionOK(f.Body)
+	sid, _, _, err := server.DecodeSessionOK(f.Body, 0)
 	if err != nil {
 		t.Fatalf("DecodeSessionOK: %v", err)
 	}
@@ -413,7 +413,7 @@ func TestServerSessionPipelinedFIFO(t *testing.T) {
 		if f.ID != uint32(i+2) {
 			t.Fatalf("response %d: id %d, want %d (FIFO order violated)", i, f.ID, i+2)
 		}
-		final, consumed, ms, err := server.DecodeSessionMatches(f.Body)
+		final, consumed, ms, _, err := server.DecodeSessionMatches(f.Body, 0)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
@@ -464,11 +464,11 @@ func TestServerSessionPendingSheds(t *testing.T) {
 		}
 		defer nc.Close()
 		if err := server.WriteFrame(nc, server.Frame{Op: server.OpSessionOpen, ID: 1,
-			Body: server.EncodeSessionOpen(0)}); err != nil {
+			Body: make([]byte, 4)}); err != nil { // SESSION-OPEN, default overlap
 			t.Fatalf("open: %v", err)
 		}
 		f, _ := server.ReadFrame(nc, server.DefaultMaxFrame)
-		sid, _, err := server.DecodeSessionOK(f.Body)
+		sid, _, _, err := server.DecodeSessionOK(f.Body, 0)
 		if err != nil {
 			t.Fatalf("DecodeSessionOK: %v", err)
 		}
@@ -789,7 +789,7 @@ func TestServerSessionPlainNoCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
-	// The plain client decodes with the strict DecodeSessionMatches: a
+	// The plain client decodes with its own (flagless) start flags: a
 	// stray piggyback would fail this write loudly.
 	if _, _, err := sess.Write(streamPayload(8192)); err != nil {
 		t.Fatalf("Write: %v", err)
