@@ -39,7 +39,10 @@ benchcheck:
 ## the accept loop, the framing-fault half-close and the write deadline
 ## live in one file of server + gateway (server/shell.go), and the typed
 ## client ops in one file of the client (client/ops.go), so neither
-## front end nor Pool can grow its own copy back.
+## front end nor Pool can grow its own copy back. The pull-mode stream
+## driver exists once too: stream.Window's Fill has one caller under
+## internal/ (RuleSet.ScanReaderCtx, which an Engine's reader scans run
+## through), so a second pull loop cannot grow back beside it.
 SHELL_SRC  = $(filter-out %_test.go,$(wildcard internal/server/*.go internal/gateway/*.go))
 CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/server/client/*.go))
 layercheck:
@@ -53,14 +56,18 @@ layercheck:
 	done
 	@n=$$(grep -lF -- 'server.DecodeMatches(' $(CLIENT_SRC) | wc -l); [ $$n -eq 1 ] \
 		|| { echo "layercheck: server.DecodeMatches( occurs in $$n non-test files of internal/server/client, want exactly 1"; exit 1; }
+	@n=$$(grep -rF --include='*.go' --exclude='*_test.go' -- '.Fill(' internal | wc -l); [ $$n -eq 1 ] \
+		|| { echo "layercheck: .Fill( has $$n non-test callers under internal/, want exactly 1 (the one pull-mode driver)"; exit 1; }
 
 ## loc: the north-star statistic of ROADMAP aim 2 — non-test Go code
 ## lines (blank and //-only lines excluded) of the serving shell beside
-## those of the paper's subject, one line per package plus the two sums.
+## those of the paper's subject and of the engine glue that wires the
+## subject's tiers into scans, one line per package plus each group's sum.
 LOC_SHELL   = internal/server internal/gateway internal/server/client
 LOC_SUBJECT = internal/isa internal/syntax internal/ir internal/backend internal/arch
+LOC_GLUE    = internal/core internal/stream
 loc:
-	@for group in "serving shell:$(LOC_SHELL)" "paper's subject:$(LOC_SUBJECT)"; do \
+	@for group in "serving shell:$(LOC_SHELL)" "paper's subject:$(LOC_SUBJECT)" "engine glue:$(LOC_GLUE)"; do \
 		sum=0; \
 		for pkg in $${group#*:}; do \
 			n=$$(ls $$pkg/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//.*)?$$'); \

@@ -103,10 +103,11 @@ func WithApproxStates(n int) Option { return core.WithApproxStates(n) }
 type ApproxStats = core.ApproxStats
 
 // WithOverlap sets the chunk-boundary overlap in bytes for the
-// multi-core divide and conquer and the streaming reader scan. The
-// overlap bounds the longest match the chunked disciplines report
-// identically to a one-shot scan; longer matches are the scheme's
-// documented blind spot.
+// multi-core divide and conquer and the streaming reader scan — for an
+// Engine as for a RuleSet, whose pull-mode driver an Engine's reader
+// scans run through. The overlap bounds the longest match the chunked
+// disciplines report identically to a one-shot scan; longer matches are
+// the scheme's documented blind spot.
 func WithOverlap(n int) Option { return core.WithOverlap(n) }
 
 // WithChunkSize sets the refill granularity of the streaming reader

@@ -52,23 +52,3 @@ func screen(f *approx.Filter, ctr *ApproxStats, data []byte) (admitted bool) {
 	ctr.AdmittedWindows++
 	return true
 }
-
-// screened runs search — the exact engine over one unit of input, a
-// whole buffer or one stream window — behind the engine's admission
-// stage: a clean verdict skips search and admitted is false; an
-// admitted unit in which search reports a hit is credited. With the
-// stage off search just runs. The counters follow the engine's
-// single-goroutine discipline, like guard.
-func (e *Engine) screened(data []byte, search func() (hit bool)) (admitted bool) {
-	if e.admit == nil {
-		search()
-		return true
-	}
-	if !screen(e.admit, &e.approxCtr, data) {
-		return false
-	}
-	if search() {
-		e.approxCtr.ExactHitWindows++
-	}
-	return true
-}

@@ -175,10 +175,8 @@ func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
 	if h.done {
 		posMax = limit + 1
 	}
-	pos := make([]int, h.rules)
-	sticky := make([]bool, h.rules)
-	dead := make([]error, h.rules)
-	for i := range pos {
+	st := rs.newStream(stream.Window{})
+	for i := range st.pos {
 		if len(rec) < 9 {
 			return nil, fmt.Errorf("%w: truncated rule %d", ErrBadCheckpoint, i)
 		}
@@ -197,8 +195,8 @@ func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
 		if rf&streamCkptRuleDead == 0 && p > posMax {
 			return nil, fmt.Errorf("%w: rule %d pos %d past limit %d", ErrBadCheckpoint, i, p, posMax)
 		}
-		pos[i] = int(p)
-		sticky[i] = rf&streamCkptRuleSticky != 0
+		st.pos[i] = int(p)
+		st.sticky[i] = rf&streamCkptRuleSticky != 0
 		if rf&streamCkptRuleDead != 0 {
 			if len(rec) < 2 {
 				return nil, fmt.Errorf("%w: truncated rule %d error", ErrBadCheckpoint, i)
@@ -208,21 +206,16 @@ func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
 			if len(rec) < mlen {
 				return nil, fmt.Errorf("%w: truncated rule %d error text", ErrBadCheckpoint, i)
 			}
-			dead[i] = errors.New(string(rec[:mlen]))
+			st.dead[i] = errors.New(string(rec[:mlen]))
 			rec = rec[mlen:]
 		}
 	}
 	if len(rec) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rec))
 	}
-	return &Stream{
-		rs:     rs,
-		win:    stream.NewWindow(int(h.overlap), int(base), append([]byte(nil), h.carry...)),
-		pos:    pos,
-		sticky: sticky,
-		dead:   dead,
-		done:   h.done,
-	}, nil
+	st.win = stream.NewWindow(int(h.overlap), int(base), append([]byte(nil), h.carry...))
+	st.done = h.done
+	return st, nil
 }
 
 // CheckpointInfo is the header summary of a stream checkpoint, parsed

@@ -11,11 +11,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
-	"alveare/internal/approx"
 	"alveare/internal/arch"
 	"alveare/internal/automata"
 	"alveare/internal/backend"
@@ -198,8 +198,8 @@ func WithApproxStates(n int) Option {
 // rule is one compiled rule, everything scans of it share: the program
 // image the cores load (its Source is the pattern), the safe engine the
 // Degrade policy falls back to and, with the fast path on, the lazy-DFA
-// program gates are instantiated from. An Engine holds one beside its
-// private core and gate; a RuleSet holds one per rule beside its pools.
+// program gates are instantiated from. A RuleSet holds one per rule
+// beside its lane pools; an Engine is a RuleSet of one.
 type rule struct {
 	prog *Program
 	safe *safeVM
@@ -219,65 +219,37 @@ func newRule(p *Program, dfa bool) rule {
 	return r
 }
 
-// guarded wraps a core loaded with the rule in the failure policy.
-// sticky carries a stream's degraded state in; each safe-engine
-// engagement is counted in *fallbacks. A guarded finder serves one scan,
-// so sticky degradation is scoped to it.
-func (r *rule) guarded(core *arch.Core, policy Policy, sticky bool, fallbacks *int64) *guarded {
-	return &guarded{core: core, vm: r.safe, policy: policy, degraded: sticky, fallbacks: fallbacks}
-}
-
 // Engine executes one compiled RE over data streams, on a single core
-// or on the scale-out configuration.
+// or on the scale-out configuration. The single core is a one-rule,
+// one-worker RuleSet — the paper loads one RE into one core, and a
+// pattern is a rule set of one — so every single-core scan runs the
+// rule set's own tier chain and roll-ups; only the multi-core divide
+// and conquer (paper §6) is the Engine's own. Single-core scans are
+// safe for concurrent use; a multi-core engine's FindAll, Count and Run
+// are not.
 type Engine struct {
-	rule
-	single *arch.Core
-	multi  *multicore.Engine
-	stream stream.Config
-	policy Policy
-	// guard accumulates the engine-layer guardrail counters (Fallbacks,
-	// CancelledScans); Stats() merges them with the core's counters. It
-	// follows the engine's single-goroutine discipline.
-	guard Stats
-	// streamCtr accumulates reader-scan throughput (windows searched,
-	// bytes consumed, matches emitted) across ScanReader calls.
-	streamCtr stream.Counters
-
-	// dfa is the engine's private gate instance (WithDFA), nil when the
-	// rule has no lazy-DFA program: it gates every probe of a
-	// single-core scan and every chunk of a multi-core one.
-	dfa     *automata.LazyDFA
-	fastCtr FastStats
-
-	// admit is the over-approximating admission stage (WithApprox):
-	// nil when off. approxCtr follows the engine's single-goroutine
-	// discipline, like guard.
-	admit     *approx.Filter
-	approxCtr ApproxStats
+	rs    *RuleSet
+	multi *multicore.Engine
 }
 
-// NewEngine loads a compiled program.
+// NewEngine loads a compiled program — from Compile, or CompileWith's
+// minimal or ablation options.
 func NewEngine(p *Program, opts ...Option) (*Engine, error) {
-	s := settings{cores: 1, cfg: arch.DefaultConfig()}
-	for _, o := range opts {
-		o(&s)
-	}
+	s := newSettings(opts)
 	if s.cores < 1 {
 		return nil, fmt.Errorf("core: %d cores", s.cores)
 	}
-	e := &Engine{
-		rule:   newRule(p, s.dfa),
-		stream: stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
-		policy: s.policy,
-	}
-	single, err := arch.NewCore(p, s.cfg)
+	// No source, no language to over-approximate.
+	s.approx = s.approx && p.Source != ""
+	s.workers = 1
+	e := &Engine{rs: buildRuleSet([]*Program{p}, s, false)}
+	// Load the single core now: a program or configuration the core
+	// rejects fails here, not on the first scan.
+	ln, err := e.rs.newLane(0)
 	if err != nil {
 		return nil, err
 	}
-	e.single = single
-	if s.tracer != nil {
-		single.SetTracer(s.tracer)
-	}
+	e.rs.lanes[0].Put(ln)
 	if s.cores > 1 {
 		multi, err := multicore.New(p, s.cores, s.cfg, s.overlap)
 		if err != nil {
@@ -288,49 +260,35 @@ func NewEngine(p *Program, opts ...Option) (*Engine, error) {
 		}
 		e.multi = multi
 	}
-	if e.lazy != nil {
-		e.dfa = e.lazy.NewDFA(s.dfaCache)
-	}
-	if s.approx && p.Source != "" {
-		// An admit-all filter screens nothing; leaving it out keeps the
-		// scan loops free of dead per-window walks.
-		if f := approx.Build([]string{p.Source}, s.approxStates); !f.AdmitAll() {
-			e.admit = f
-		}
-	}
 	return e, nil
 }
 
 // ApproxEnabled reports whether the admission stage (WithApprox) is
 // active on this engine — false when it was not requested or the
 // filter degraded to admit-all at build time.
-func (e *Engine) ApproxEnabled() bool { return e.admit != nil }
-
-// ApproxFilter returns the engine's admission filter, nil when off.
-func (e *Engine) ApproxFilter() *approx.Filter { return e.admit }
+func (e *Engine) ApproxEnabled() bool { return e.rs.screening() }
 
 // ApproxStats reports the admission stage's accumulated counters,
 // including chunk-level screening on multi-core engines.
-func (e *Engine) ApproxStats() ApproxStats { return e.approxCtr }
+func (e *Engine) ApproxStats() ApproxStats { return e.rs.ApproxStats() }
 
 // FastEnabled reports whether the hybrid fast path (WithDFA) is active
 // on this engine — false when it was not requested or the pattern is
 // unsupported by the lazy DFA.
-func (e *Engine) FastEnabled() bool { return e.dfa != nil }
+func (e *Engine) FastEnabled() bool { return e.rs.rules[0].lazy != nil }
 
 // FastStats reports the hybrid fast path's accumulated counters: gate
 // outcomes (one probe per gated chunk on multi-core runs) and DFA cache
 // behaviour. Zero when the fast path is off.
 func (e *Engine) FastStats() FastStats {
-	st := e.fastCtr
-	if e.dfa != nil {
-		st.addLazy(e.dfa.Stats())
-	}
+	st := e.rs.FastStats()
+	// A rule set of one has no cross-rule dispatch to report.
+	st.PrefilterPasses, st.PrefilterSkips = 0, 0
 	return st
 }
 
 // Program returns the loaded executable.
-func (e *Engine) Program() *Program { return e.prog }
+func (e *Engine) Program() *Program { return e.rs.rules[0].prog }
 
 // Cores returns the scale-out width.
 func (e *Engine) Cores() int {
@@ -340,26 +298,13 @@ func (e *Engine) Cores() int {
 	return 1
 }
 
-// finders builds the per-scan pair over the engine's single core: the
-// policy-applying guarded finder and, when the fast path is on, the gate
-// in front of it (nil otherwise). Sticky degradation and gate
-// stickiness (a cache bail disabling the gate) are scoped to one scan.
-func (e *Engine) finders() (*guarded, *fastFinder) {
-	g := e.guarded(e.single, e.policy, false, &e.guard.Fallbacks)
-	if e.dfa == nil {
-		return g, nil
-	}
-	return g, &fastFinder{dfa: e.dfa, slow: g, st: &e.fastCtr}
-}
-
-// fail folds err into the ScanError taxonomy (rule -1: single-pattern
-// engine) and maintains the cancellation counter. nil passes through.
-func (e *Engine) fail(err error) error {
-	if err == nil {
-		return nil
-	}
-	if isCancel(err) {
-		e.guard.CancelledScans++
+// engineErr maps the rule set's error onto the single-pattern taxonomy: a
+// *ScanError with rule -1. A fault the policy contained, which the rule
+// set joins, is unwrapped from its join.
+func engineErr(err error) error {
+	var se *ScanError
+	if errors.As(err, &se) && se.Rule == 0 {
+		return &ScanError{Rule: -1, Offset: se.Offset, Cause: se.Cause}
 	}
 	return scanErrFor(-1, err)
 }
@@ -371,12 +316,9 @@ func (e *Engine) Find(data []byte) (Match, bool, error) {
 
 // FindCtx is Find with cooperative cancellation: the core polls ctx
 // between match attempts and every few thousand simulated cycles.
-func (e *Engine) FindCtx(ctx context.Context, data []byte) (m Match, ok bool, err error) {
-	e.screened(data, func() bool {
-		m, ok, err = probeFinder(e.finders()).FindFromCtx(ctx, data, 0)
-		return ok
-	})
-	return m, ok, e.fail(err)
+func (e *Engine) FindCtx(ctx context.Context, data []byte) (Match, bool, error) {
+	_, m, ok, err := e.rs.firstMatch(ctx, data)
+	return m, ok, engineErr(err)
 }
 
 // Match reports whether the pattern occurs in data.
@@ -407,20 +349,26 @@ func (e *Engine) FindAllCtx(ctx context.Context, data []byte) ([]Match, error) {
 		res, err := e.runMultiCtx(ctx, data)
 		return res.Matches, err
 	}
-	ms, _, err := e.findAllSingle(ctx, data)
-	return ms, e.fail(err)
+	ms, _, _, err := e.scan(ctx, data)
+	return ms, err
 }
 
-// findAllSingle runs the one-shot FindAll discipline on the single
-// core behind the admission stage (admitted is false when it proved
-// data clean).
-func (e *Engine) findAllSingle(ctx context.Context, data []byte) (ms []Match, admitted bool, err error) {
-	admitted = e.screened(data, func() bool {
-		g, gate := e.finders()
-		ms, err = findAll(ctx, g, gate, data)
-		return len(ms) > 0
-	})
-	return ms, admitted, err
+// scan is the single core's one-shot pass: ScanCtx's unit over the one
+// rule — the rule set's tiers, lane and roll-ups — read straight from
+// the unit, with the pass's own counters. admitted is false when a tier
+// screened data out.
+func (e *Engine) scan(ctx context.Context, data []byte) (ms []Match, st arch.Stats, admitted bool, err error) {
+	rs := e.rs
+	u := fanOut(ctx, rs, rs, data, 0, 0, nil, nil, (*RuleSet).scanRule)
+	if u == nil {
+		return nil, st, false, nil
+	}
+	ms, st, err = u.res[0].ms, u.per[0], u.res[0].err
+	rs.release(u)
+	if isCancel(err) {
+		rs.noteCancel()
+	}
+	return ms, st, true, engineErr(err)
 }
 
 // Count returns the number of non-overlapping matches.
@@ -440,11 +388,10 @@ func (e *Engine) CountCtx(ctx context.Context, data []byte) (int, error) {
 // large. text aliases the window buffer and is valid only during the
 // call. emit returning false stops the scan early without error.
 //
-// Results are byte-identical to FindAll over the whole input provided
-// no match exceeds the overlap — longer matches are the chunking
-// scheme's documented blind spot (see internal/stream). Reader scans
-// run on the engine's single core regardless of WithCores: divide and
-// conquer needs random access, a stream is consumed once.
+// The scan is RuleSet.ScanReaderCtx over the engine's one rule — the
+// one pull-mode driver — and its results are that driver's. Reader
+// scans run on the engine's single core regardless of WithCores: divide
+// and conquer needs random access, a stream is consumed once.
 func (e *Engine) ScanReader(r io.Reader, emit func(m Match, text []byte) bool) (int64, error) {
 	return e.ScanReaderCtx(context.Background(), r, emit)
 }
@@ -454,16 +401,8 @@ func (e *Engine) ScanReader(r io.Reader, emit func(m Match, text []byte) bool) (
 // failure policy applied per window. A cancelled scan returns the bytes
 // consumed so far together with a *ScanError wrapping ctx.Err().
 func (e *Engine) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(m Match, text []byte) bool) (int64, error) {
-	cfg := e.stream
-	if e.admit != nil {
-		// Screen each overlap window; windows proven clean never reach
-		// the finder.
-		cfg.Screen = e.screened
-	}
-	sc := stream.ForFinder(probeFinder(e.finders()), cfg)
-	sc.SetCounters(&e.streamCtr)
-	n, err := sc.ScanCtx(ctx, r, stream.EmitFunc(emit))
-	return n, e.fail(err)
+	n, err := e.rs.ScanReaderCtx(ctx, r, func(_ int, m Match, text []byte) bool { return emit(m, text) })
+	return n, engineErr(err)
 }
 
 // FindReader returns every match in the stream, reading r to EOF one
@@ -494,53 +433,76 @@ func (e *Engine) CountReaderCtx(ctx context.Context, r io.Reader) (int, error) {
 	return n, err
 }
 
-// runMultiCtx executes the multi-core pass and contains chunk faults
-// per the failure policy: recoverable faults (runaway, stack overflow)
-// are re-scanned on the safe engine (Degrade) or reduced to the chunk's
-// partial matches (Skip); cancellation and integrity faults propagate.
-// Contained chunks stay listed in Result.Failed for observability even
-// when the returned error is nil.
+// runMultiCtx executes the multi-core pass. The cores run ungated —
+// per-probe gating would move their simulated cycles — so the rule
+// set's skip tiers judge each chunk whole: its screen, then a borrowed
+// lane's gate. The pass's tier tallies and guard counters fold into
+// the rule set's roll-ups, as a scan's do.
 func (e *Engine) runMultiCtx(ctx context.Context, data []byte) (multicore.Result, error) {
-	// The cores run ungated — per-probe gating would move their
-	// simulated cycles — so the skip tiers judge each chunk whole.
-	_, gate := e.finders()
+	rs := e.rs
+	var (
+		st  arch.Stats // the idle lane core's: only the guard counters move
+		fst FastStats
+		as  ApproxStats
+	)
+	ln, err := rs.borrow(0, false, &st, &fst)
+	if err != nil {
+		return multicore.Result{}, engineErr(err)
+	}
 	res, err := e.multi.RunCtx(ctx, data, func(window []byte) bool {
-		if e.admit != nil && !screen(e.admit, &e.approxCtr, window) {
+		if rs.screening() && !screen(rs.admit, &as, window) {
 			return false
 		}
-		if gate == nil {
+		if ln.gate == nil {
 			return true
 		}
 		// A gate bail or cancellation falls through: the core applies
 		// its own ctx/fault handling, so error chains are identical to
 		// the ungated path.
-		absent, _ := gate.absent(ctx, window, 0)
+		absent, _ := ln.gate.absent(ctx, window, 0)
 		return !absent
 	})
-	if e.admit != nil {
-		e.approxCtr.ExactHitWindows += int64(res.Hits)
+	rs.giveBack(0, ln, &st, &fst)
+	if rs.screening() {
+		as.ExactHitWindows += int64(res.Hits)
 	}
-	if err == nil {
-		return res, nil
+	if err = e.contain(ctx, data, &res, err, &st.Fallbacks); isCancel(err) {
+		st.CancelledScans++
 	}
-	if e.policy == FailFast {
-		return res, e.fail(err)
+	rs.mu.Lock()
+	rs.agg.Add(st)
+	rs.fast.Add(fst)
+	rs.approxCtr.Add(as)
+	rs.mu.Unlock()
+	return res, engineErr(err)
+}
+
+// contain applies the failure policy to a multi-core pass's chunk
+// faults: recoverable ones (runaway, stack overflow) are re-scanned on
+// the safe engine (Degrade, counted in *fallbacks) or reduced to the
+// chunk's partial matches (Skip); cancellation and integrity faults
+// propagate. Contained chunks stay listed in Result.Failed for
+// observability even when the returned error is nil.
+func (e *Engine) contain(ctx context.Context, data []byte, res *multicore.Result, err error, fallbacks *int64) error {
+	if err == nil || e.rs.policy == FailFast {
+		return err
 	}
 	for _, f := range res.Failed {
 		if !recoverable(f.Err) {
-			return res, e.fail(fmt.Errorf("core %d: %w", f.Core, f.Err))
+			return fmt.Errorf("core %d: %w", f.Core, f.Err)
 		}
 	}
+	safe := e.rs.rules[0].safe
 	for _, f := range res.Failed {
-		if e.policy == Degrade && e.safe.available() {
-			e.guard.Fallbacks++
+		if e.rs.policy == Degrade && safe.available() {
+			*fallbacks++
 			// Re-scan the whole extended window on the safe engine; the
 			// ownership filter keeps the result set disjoint from the
 			// neighbouring chunks exactly as it does for healthy cores.
-			ms, ferr := findAllWith(ctx, e.safe, data[f.Chunk.Lo:f.Chunk.Ext], 0)
+			ms, ferr := findAllWith(ctx, safe, data[f.Chunk.Lo:f.Chunk.Ext], 0)
 			res.Matches = append(res.Matches, stream.OwnMatches(ms, f.Chunk.Lo, f.Chunk.Hi)...)
 			if ferr != nil {
-				return res, e.fail(ferr)
+				return ferr
 			}
 		} else {
 			// Skip (or Degrade without a safe engine): keep what the core
@@ -549,12 +511,12 @@ func (e *Engine) runMultiCtx(ctx context.Context, data []byte) (multicore.Result
 		}
 	}
 	sort.Slice(res.Matches, func(a, b int) bool { return res.Matches[a].Start < res.Matches[b].Start })
-	return res, nil
+	return nil
 }
 
 // Run executes a full multi-core pass and returns the detailed result
 // (wall cycles, per-core counters). On a single-core engine it wraps
-// the core's counters in the same shape.
+// the core's counters for this pass in the same shape.
 func (e *Engine) Run(data []byte) (multicore.Result, error) {
 	return e.RunCtx(context.Background(), data)
 }
@@ -565,46 +527,24 @@ func (e *Engine) RunCtx(ctx context.Context, data []byte) (multicore.Result, err
 	if e.multi != nil {
 		return e.runMultiCtx(ctx, data)
 	}
-	e.single.ResetStats()
-	ms, admitted, err := e.findAllSingle(ctx, data)
+	ms, st, admitted, err := e.scan(ctx, data)
 	if !admitted {
 		return multicore.Result{Chunks: 1}, nil
 	}
-	st := e.single.Stats()
-	res := multicore.Result{
-		Matches:     ms,
-		WallCycles:  st.Cycles,
-		TotalCycles: st.Cycles,
-		PerCore:     []arch.Stats{st},
-		Chunks:      1,
-	}
-	return res, e.fail(err)
+	return multicore.Result{Matches: ms, WallCycles: st.Cycles, TotalCycles: st.Cycles,
+		PerCore: []arch.Stats{st}, Chunks: 1}, err
 }
 
-// Stats returns the single-core counters merged with the engine-layer
-// guardrail counters (Fallbacks, CancelledScans); aggregate counters
-// for multi-core runs come from Run's result.
-func (e *Engine) Stats() Stats {
-	st := e.single.Stats()
-	st.Fallbacks += e.guard.Fallbacks
-	st.CancelledScans += e.guard.CancelledScans
-	return st
-}
+// Stats returns the single core's counters accumulated across scans,
+// with the guardrail counters (Fallbacks, CancelledScans) of every
+// path; per-run counters of multi-core runs come from Run's result.
+func (e *Engine) Stats() Stats { return e.rs.Stats() }
 
 // StreamCounters reports the reader-scan throughput accumulated across
 // ScanReader / FindReader / CountReader calls.
-func (e *Engine) StreamCounters() stream.Counters { return e.streamCtr }
+func (e *Engine) StreamCounters() stream.Counters { return e.rs.StreamCounters() }
 
-// ResetStats clears the single-core counters, the engine-layer guard
-// counters, the stream throughput accumulators, and releases the core's
-// references to the previous input (multi-core cores reset per Run).
-func (e *Engine) ResetStats() {
-	e.single.Reset()
-	e.guard = Stats{}
-	e.streamCtr = stream.Counters{}
-	e.fastCtr = FastStats{}
-	e.approxCtr = ApproxStats{}
-	if e.dfa != nil {
-		e.dfa.TakeStats()
-	}
-}
+// ResetStats clears the single-core counters, the guard counters, the
+// stream throughput accumulators and the skip tiers' roll-ups
+// (multi-core cores reset per Run).
+func (e *Engine) ResetStats() { e.rs.ResetStats() }

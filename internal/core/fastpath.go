@@ -141,18 +141,6 @@ func probeFinder(g *guarded, gate *fastFinder) stream.Finder {
 	return g
 }
 
-// findAll runs the one-shot FindAll discipline over a per-scan pair.
-// Both legs apply the same failure policy (it lives in the guarded
-// finder) and return byte-identical matches.
-func findAll(ctx context.Context, g *guarded, gate *fastFinder, data []byte) ([]Match, error) {
-	if gate != nil {
-		return findAllWith(ctx, gate, data, 0)
-	}
-	// Ungated, the core's own FindAll loop runs: probing it one
-	// FindFrom at a time would change the simulated cycle count.
-	return g.findAll(ctx, data)
-}
-
 // findAllWith runs the one-shot FindAll resume discipline through an
 // arbitrary finder, collecting every match that starts at or after
 // from — the gated counterpart of guarded.findAll (the policy lives

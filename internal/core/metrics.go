@@ -15,19 +15,24 @@ import (
 // the engine was built WithMetrics; the classic counters (cycles,
 // instructions, speculation pushes) publish regardless.
 func (e *Engine) PublishMetrics(r *metrics.Registry) {
-	arch.Publish(r, "engine", e.Stats())
-	arch.PublishCU(r, "engine", e.single.CUUtilization())
+	rs := e.rs
+	arch.Publish(r, "engine", rs.Stats())
+	rs.mu.Lock()
+	busy := append([]int64(nil), rs.cu...)
+	ctr := rs.streamCtr
+	rs.mu.Unlock()
+	arch.PublishCU(r, "engine", busy)
 	if e.multi != nil {
 		arch.PublishCU(r, "engine.multi", e.multi.CUUtilization())
 	}
-	r.Counter("engine.stream.windows").Store(e.streamCtr.Windows)
-	r.Counter("engine.stream.bytes").Store(e.streamCtr.Bytes)
-	r.Counter("engine.stream.matches").Store(e.streamCtr.Matches)
+	r.Counter("engine.stream.windows").Store(ctr.Windows)
+	r.Counter("engine.stream.bytes").Store(ctr.Bytes)
+	r.Counter("engine.stream.matches").Store(ctr.Matches)
 	if e.FastEnabled() {
 		publishFast(r, "engine", e.FastStats(), false)
 	}
-	if e.admit != nil {
-		publishApprox(r, "engine", e.ApproxStats(), e.admit)
+	if e.ApproxEnabled() {
+		publishApprox(r, "engine", e.ApproxStats(), rs.admit)
 	}
 }
 
@@ -76,9 +81,12 @@ func publishFast(r *metrics.Registry, prefix string, fs FastStats, prefilter boo
 // MetricsSnapshot publishes into a fresh registry and returns the
 // deterministic snapshot (sorted names, versioned schema) — what the
 // tools' -metrics flag serialises.
-func (e *Engine) MetricsSnapshot() *metrics.Snapshot {
+func (e *Engine) MetricsSnapshot() *metrics.Snapshot { return snapshotOf(e.PublishMetrics) }
+
+// snapshotOf runs publish over a fresh registry and snapshots it.
+func snapshotOf(publish func(*metrics.Registry)) *metrics.Snapshot {
 	r := metrics.New()
-	e.PublishMetrics(r)
+	publish(r)
 	return r.Snapshot()
 }
 
@@ -126,8 +134,4 @@ func (rs *RuleSet) PublishMetrics(r *metrics.Registry) {
 
 // MetricsSnapshot publishes into a fresh registry and returns the
 // deterministic snapshot.
-func (rs *RuleSet) MetricsSnapshot() *metrics.Snapshot {
-	r := metrics.New()
-	rs.PublishMetrics(r)
-	return r.Snapshot()
-}
+func (rs *RuleSet) MetricsSnapshot() *metrics.Snapshot { return snapshotOf(rs.PublishMetrics) }

@@ -69,17 +69,41 @@ type RuleSet struct {
 	streamCtr  stream.Counters
 	fast       FastStats   // fast-path roll-up across all rules and scans
 	approxCtr  ApproxStats // admission-stage roll-up
+	// cu is the per-compute-unit busy roll-up of every lane's core,
+	// folded in only when the detailed metrics are on (WithMetrics).
+	cu []int64
 }
 
 // NewRuleSet compiles every pattern with the given compiler options
 // into one rule each; lanes are instantiated on demand into per-rule
 // pools.
 func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleSet, error) {
+	progs := make([]*Program, len(patterns))
+	for i, re := range patterns {
+		p, err := CompileWith(re, copt)
+		if err != nil {
+			return nil, fmt.Errorf("core: rule %d %q: %w", i, re, err)
+		}
+		progs[i] = p
+	}
+	return buildRuleSet(progs, newSettings(opts), true), nil
+}
+
+// newSettings applies opts over the defaults.
+func newSettings(opts []Option) settings {
 	s := settings{cores: 1, cfg: arch.DefaultConfig()}
 	for _, o := range opts {
 		o(&s)
 	}
-	n := len(patterns)
+	return s
+}
+
+// buildRuleSet loads compiled programs, one rule each. crossRule builds
+// the cross-rule literal prefilter (with the fast path on): a RuleSet
+// has it, an Engine — one rule, whose gate already answers for it —
+// does not.
+func buildRuleSet(progs []*Program, s settings, crossRule bool) *RuleSet {
+	n := len(progs)
 	rs := &RuleSet{
 		rules:    make([]rule, n),
 		cfg:      s.cfg,
@@ -91,15 +115,14 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		useDFA:   s.dfa,
 		dfaCache: s.dfaCache,
 		perRule:  make([]arch.Stats, n),
+		cu:       make([]int64, s.cfg.ComputeUnits),
 	}
-	for i, re := range patterns {
-		p, err := CompileWith(re, copt)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %d %q: %w", i, re, err)
-		}
+	sources := make([]string, n)
+	for i, p := range progs {
 		rs.rules[i] = newRule(p, s.dfa)
+		sources[i] = p.Source
 	}
-	if s.dfa {
+	if s.dfa && crossRule {
 		var lits []prefilter.Literal
 		for i, r := range rs.rules {
 			if h := r.prog.Hint; h != nil && len(h.Literal) >= 2 {
@@ -113,9 +136,9 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		}
 	}
 	if s.approx {
-		rs.admit = approx.Build(patterns, s.approxStates)
+		rs.admit = approx.Build(sources, s.approxStates)
 	}
-	return rs, nil
+	return rs
 }
 
 // ApproxEnabled reports whether the admission stage (WithApprox) is
@@ -175,6 +198,21 @@ type lane struct {
 	gate *fastFinder
 }
 
+// newLane loads rule i into a fresh lane.
+func (rs *RuleSet) newLane(i int) (*lane, error) {
+	r := &rs.rules[i]
+	core, err := arch.NewCore(r.prog, rs.cfg)
+	if err != nil {
+		return nil, err
+	}
+	core.SetTracer(rs.tracer)
+	ln := &lane{g: guarded{core: core, vm: r.safe, policy: rs.policy}}
+	if r.lazy != nil {
+		ln.gate = &fastFinder{dfa: r.lazy.NewDFA(rs.dfaCache), slow: &ln.g}
+	}
+	return ln, nil
+}
+
 // borrow takes rule i's lane from its pool (loading a new one when the
 // pool is empty), reset for a new input. sticky carries a stream's
 // degraded state in; the job's counters go to st — zeroed here, so a
@@ -185,19 +223,14 @@ func (rs *RuleSet) borrow(i int, sticky bool, st *arch.Stats, fst *FastStats) (*
 	if ln != nil {
 		ln.g.core.Reset()
 	} else {
-		r := &rs.rules[i]
-		core, err := arch.NewCore(r.prog, rs.cfg)
-		if err != nil {
+		var err error
+		if ln, err = rs.newLane(i); err != nil {
 			return nil, scanErrFor(i, err)
-		}
-		core.SetTracer(rs.tracer)
-		ln = &lane{g: guarded{core: core, vm: r.safe, policy: rs.policy}}
-		if r.lazy != nil {
-			ln.gate = &fastFinder{dfa: r.lazy.NewDFA(rs.dfaCache), slow: &ln.g}
 		}
 	}
 	// Sticky degradation and gate stickiness (a cache bail) are scoped to
-	// this borrow; the next one retries the gate on a flushed cache.
+	// this borrow — the next one retries the gate on a flushed cache —
+	// unless the caller carries them in, as a Stream does across windows.
 	ln.g.degraded, ln.g.fallbacks = sticky, &st.Fallbacks
 	if ln.gate != nil {
 		ln.gate.dead, ln.gate.st = false, fst
@@ -216,6 +249,14 @@ func (rs *RuleSet) giveBack(i int, ln *lane, st *arch.Stats, fst *FastStats) (no
 	fallbacks := st.Fallbacks
 	*st = ln.g.core.Stats()
 	st.Fallbacks += fallbacks
+	if rs.cfg.Metrics {
+		busy := ln.g.core.CUUtilization()
+		rs.mu.Lock()
+		for k, b := range busy {
+			rs.cu[k] += b
+		}
+		rs.mu.Unlock()
+	}
 	nowSticky = ln.g.degraded
 	// An idle lane points into no unit: a stale one could only fault.
 	ln.g.fallbacks = nil
@@ -489,7 +530,13 @@ func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte, st *arch.St
 	if err != nil {
 		return nil, err
 	}
-	ms, err = findAll(ctx, &ln.g, ln.gate, data)
+	if ln.gate != nil {
+		ms, err = findAllWith(ctx, ln.gate, data, 0)
+	} else {
+		// Ungated, the core's own FindAll loop runs: probing it one
+		// FindFrom at a time would change the simulated cycle count.
+		ms, err = ln.g.findAll(ctx, data)
+	}
 	rs.giveBack(i, ln, st, fst)
 	return ms, scanErrFor(i, err)
 }
@@ -546,15 +593,16 @@ func (rs *RuleSet) ScanCtx(ctx context.Context, data []byte) ([]RuleMatches, err
 // ScanReader scans an unbounded stream against every rule: the input
 // is consumed once, window by window (WithChunkSize / WithOverlap),
 // and each window fans out over the rules (fanOut) — one resume
-// position per rule, following the same one-shot-equivalent discipline
-// as Engine.ScanReader. emit is called sequentially (never
-// concurrently), windows in stream order and rules in rule order
-// within a window; text aliases the window buffer and is valid only
-// during the call. Returning false stops the scan. The byte count
-// consumed from r is returned.
+// position per rule, each following the one-shot-equivalent overlap
+// discipline of internal/stream. It is the one pull-mode driver: an
+// Engine's reader scans are this scan over one rule. emit is called
+// sequentially (never concurrently), windows in stream order and rules
+// in rule order within a window; text aliases the window buffer and is
+// valid only during the call. Returning false stops the scan. The byte
+// count consumed from r is returned.
 //
 // Matches longer than the overlap are the chunking scheme's documented
-// blind spot, exactly as for Engine.ScanReader.
+// blind spot.
 func (rs *RuleSet) ScanReader(r io.Reader, emit func(rule int, m Match, text []byte) bool) (int64, error) {
 	return rs.ScanReaderCtx(context.Background(), r, emit)
 }
@@ -567,7 +615,8 @@ func (rs *RuleSet) ScanReader(r io.Reader, emit func(rule int, m Match, text []b
 // FailFast the first rule failure aborts the whole scan immediately;
 // cancellation always aborts, reporting the bytes consumed so far. A
 // rule degraded to the safe engine (Degrade policy) stays on it for the
-// remainder of the stream.
+// remainder of the stream, and a rule whose lazy-DFA gate bailed stays
+// ungated.
 // The scan is stream.Window's pull loop over the same Stream state
 // machine push-mode callers (the scan service's streaming sessions)
 // use, so the two paths cannot diverge: each refill is one Stream
@@ -608,11 +657,18 @@ func (rs *RuleSet) FirstMatch(data []byte) (rule int, ok bool, err error) {
 // matches), under FailFast the first fault aborts the probe. The
 // roll-ups count the caller as worker slot 0, like a scan's.
 func (rs *RuleSet) FirstMatchCtx(ctx context.Context, data []byte) (rule int, ok bool, err error) {
+	rule, _, ok, err = rs.firstMatch(ctx, data)
+	return rule, ok, err
+}
+
+// firstMatch is FirstMatchCtx, also returning the hit rule's leftmost
+// match — what a one-rule set's Engine.Find reports.
+func (rs *RuleSet) firstMatch(ctx context.Context, data []byte) (rule int, m Match, ok bool, err error) {
 	var as ApproxStats
 	u, cand := rs.tiers(data, &as)
 	if u == nil {
 		rs.merge(nil, 0, as, 0, 0)
-		return 0, false, nil
+		return 0, Match{}, false, nil
 	}
 	var skipped int64
 	var deferred []error
@@ -623,11 +679,11 @@ probe:
 			continue
 		}
 		u.list = append(u.list, int32(i))
-		hit, rerr := rs.probeRule(ctx, i, data, &u.per[i], &u.slots[0].fast)
+		hm, hit, rerr := rs.probeRule(ctx, i, data, &u.per[i], &u.slots[0].fast)
 		u.slots[0].jobs++
 		switch {
 		case rerr == nil && hit:
-			rule, ok = i, true
+			rule, m, ok = i, hm, true
 			as.ExactHitWindows = as.AdmittedWindows
 			break probe
 		case rerr == nil:
@@ -646,19 +702,19 @@ probe:
 	}
 	rs.merge(u, skipped, as, 0, 0)
 	rs.release(u)
-	return rule, ok, err
+	return rule, m, ok, err
 }
 
-// probeRule is FirstMatchCtx's per-rule job: one probe from offset 0.
-func (rs *RuleSet) probeRule(ctx context.Context, i int, data []byte, st *arch.Stats, fst *FastStats) (hit bool, err error) {
+// probeRule is firstMatch's per-rule job: one probe from offset 0.
+func (rs *RuleSet) probeRule(ctx context.Context, i int, data []byte, st *arch.Stats, fst *FastStats) (m Match, hit bool, err error) {
 	defer recoverRule(i, -1, &err)
 	ln, err := rs.borrow(i, false, st, fst)
 	if err != nil {
-		return false, err
+		return Match{}, false, err
 	}
-	_, hit, err = probeFinder(&ln.g, ln.gate).FindFromCtx(ctx, data, 0)
+	m, hit, err = probeFinder(&ln.g, ln.gate).FindFromCtx(ctx, data, 0)
 	rs.giveBack(i, ln, st, fst)
-	return hit, scanErrFor(i, err)
+	return m, hit, scanErrFor(i, err)
 }
 
 // Stats returns the aggregate counters merged from every lane across
@@ -713,4 +769,5 @@ func (rs *RuleSet) ResetStats() {
 	rs.streamCtr = stream.Counters{}
 	rs.fast = FastStats{}
 	rs.approxCtr = ApproxStats{}
+	clear(rs.cu)
 }

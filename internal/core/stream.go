@@ -29,8 +29,11 @@ type Stream struct {
 	win    stream.Window
 	pos    []int // per-rule resume offsets
 	sticky []bool
-	dead   []error
-	done   bool
+	// slow marks the rules whose gate bailed earlier in the flow: like a
+	// one-shot scan's, a stream's gate stays off for the rest of it.
+	slow []bool
+	dead []error
+	done bool
 }
 
 // NewStream opens push-mode carry-over state for the rule set.
@@ -43,14 +46,15 @@ func (rs *RuleSet) NewStream(overlap int) *Stream {
 	if overlap <= 0 {
 		overlap = stream.DefaultOverlap
 	}
+	return rs.newStream(stream.NewWindow(overlap, 0, nil))
+}
+
+// newStream allocates a stream's per-rule state over win, for NewStream
+// and RestoreStream alike.
+func (rs *RuleSet) newStream(win stream.Window) *Stream {
 	n := rs.Len()
-	return &Stream{
-		rs:     rs,
-		win:    stream.NewWindow(overlap, 0, nil),
-		pos:    make([]int, n),
-		sticky: make([]bool, n),
-		dead:   make([]error, n),
-	}
+	flags := make([]bool, 2*n) // sticky, then slow: one allocation
+	return &Stream{rs: rs, win: win, pos: make([]int, n), sticky: flags[:n:n], slow: flags[n:], dead: make([]error, n)}
 }
 
 // Overlap returns the boundary carry in bytes — the longest match the
@@ -123,12 +127,16 @@ func (p windowPass) scanRule(ctx context.Context, i int, buf []byte, stats *arch
 	if err != nil {
 		return nil, err
 	}
+	if ln.gate != nil {
+		ln.gate.dead = st.slow[i]
+	}
 	var found []Match
 	st.pos[i], _, err = stream.ScanWindowCtx(ctx, probeFinder(&ln.g, ln.gate), buf, st.win.Base(), p.final, st.win.Overlap(), st.pos[i],
 		func(m Match, _ []byte) bool {
 			found = append(found, m)
 			return true
 		})
+	st.slow[i] = ln.gate != nil && ln.gate.dead
 	st.sticky[i] = st.rs.giveBack(i, ln, stats, fst)
 	return found, scanErrFor(i, err)
 }

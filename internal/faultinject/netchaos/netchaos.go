@@ -428,7 +428,12 @@ func (p *Proxy) shapedCopy(dst, src net.Conn, sc Scenario, rng *rand.Rand) {
 			}
 		}
 		if rerr != nil {
-			if tc, ok := dst.(*net.TCPConn); ok {
+			// Only a backend that finished ends the response cleanly; a
+			// severed one (SetDown, Close) must reach the client as the
+			// reset it is, not as a FIN that reads like a clean end.
+			if rerr != io.EOF {
+				abortConn(dst)
+			} else if tc, ok := dst.(*net.TCPConn); ok {
 				tc.CloseWrite()
 			}
 			return

@@ -2,8 +2,10 @@ package netchaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -58,13 +60,29 @@ func echoBackend(t *testing.T) string {
 
 func dialProxy(t *testing.T, p *Proxy) net.Conn {
 	t.Helper()
+	c, reset := dialOrReset(t, p)
+	if reset {
+		t.Fatal("dial: connection reset by peer")
+	}
+	return c
+}
+
+// dialOrReset is dialProxy for a proxy that may abort the connection:
+// reset is true when the reset arrived before the dial returned (the
+// proxy accepted the connection and aborted it — on accept, or when its
+// scenario ran to the fault — before the client's connect completed).
+func dialOrReset(t *testing.T, p *Proxy) (c net.Conn, reset bool) {
+	t.Helper()
 	c, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
+	if errors.Is(err, syscall.ECONNRESET) {
+		return nil, true
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetDeadline(time.Now().Add(5 * time.Second))
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, false
 }
 
 func pattern(n int) []byte {
@@ -107,7 +125,16 @@ func TestResetDeliversExactPrefix(t *testing.T) {
 	}
 	defer p.Close()
 
-	c := dialProxy(t, p)
+	// A reset before the dial returns hides the prefix: dial again. Such
+	// resets come in runs (one run of 300 needed 13 redials), so the
+	// bound is generous; each redial costs a loopback round trip.
+	c, reset := dialOrReset(t, p)
+	for dials := 1; reset; dials++ {
+		if dials == 1000 {
+			t.Fatal("every dial was reset before it returned")
+		}
+		c, reset = dialOrReset(t, p)
+	}
 	got, rerr := io.ReadAll(c)
 	if rerr == nil {
 		t.Fatal("reset connection ended with clean EOF, want a read error")
@@ -242,12 +269,14 @@ func TestSetDownSeversAndRevives(t *testing.T) {
 	if _, rerr := io.ReadAll(c1); rerr == nil {
 		t.Fatal("live connection survived SetDown(true)")
 	}
-	// A new connection is aborted on accept; the reset may be consumed
-	// by the write, so the invariant is that no byte ever comes back.
-	c2 := dialProxy(t, p)
-	c2.Write([]byte("hi"))
-	if got, _ := io.ReadAll(c2); len(got) != 0 {
-		t.Fatalf("downed backend delivered %d bytes", len(got))
+	// A new connection is aborted on accept; the reset may arrive before
+	// the dial returns or be consumed by the write, so the invariant is
+	// that no byte ever comes back.
+	if c2, reset := dialOrReset(t, p); !reset {
+		c2.Write([]byte("hi"))
+		if got, _ := io.ReadAll(c2); len(got) != 0 {
+			t.Fatalf("downed backend delivered %d bytes", len(got))
+		}
 	}
 
 	p.SetDown(false)
@@ -273,8 +302,23 @@ func TestScenarioTableRoundRobin(t *testing.T) {
 	}
 	defer p.Close()
 
-	for i := 0; i < 4; i++ {
-		c := dialProxy(t, p)
+	// Each expectation is keyed on the accept index the connection gets.
+	// A reset connection can be reset before its dial returns, hiding
+	// the prefix; it still took its turn, so the next one gets the next
+	// entry.
+	dials := 0
+	for done := 0; done < 4; dials++ {
+		if dials == 40 {
+			t.Fatalf("only %d of 4 connections outlived their dial", done)
+		}
+		i := p.Accepted()
+		c, reset := dialOrReset(t, p)
+		if reset {
+			if i%2 != 0 {
+				t.Fatalf("conn %d: reset before the dial returned; want clean 8 bytes", i)
+			}
+			continue
+		}
 		got, rerr := io.ReadAll(c)
 		if i%2 == 0 {
 			if rerr == nil || len(got) != 4 {
@@ -286,9 +330,10 @@ func TestScenarioTableRoundRobin(t *testing.T) {
 			}
 		}
 		c.Close()
+		done++
 	}
-	if got := p.Accepted(); got != 4 {
-		t.Fatalf("accepted = %d, want 4", got)
+	if got := p.Accepted(); got != int64(dials) {
+		t.Fatalf("accepted = %d, want %d (one per dial)", got, dials)
 	}
 }
 

@@ -514,26 +514,24 @@ func (s *Server) execute(j *job) {
 // captured once, so a concurrent Reload never splits one request
 // across two rule-set generations.
 func (s *Server) scanSnapshot(ctx context.Context, payload []byte) ([]RuleMatch, error) {
-	return scanRules(ctx, s.snap.Load(), payload)
+	return scanRules(ctx, s.snap.Load().rules, payload)
 }
 
 // scanPattern runs one ad-hoc pattern over payload through the LRU
-// compiled-engine cache.
+// compiled-pattern cache.
 func (s *Server) scanPattern(ctx context.Context, pattern string, payload []byte) ([]RuleMatch, error) {
-	eng, cached, err := s.cache.get(pattern, s.opts)
+	rs, err := s.cache.get(pattern, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	found, err := eng.FindAllCtx(ctx, payload)
-	s.cache.put(pattern, eng, cached)
-	if err != nil {
-		return nil, err
+	ms, err := scanRules(ctx, rs, payload)
+	var se *core.ScanError
+	if errors.As(err, &se) {
+		// An ad-hoc pattern is no rule of the served set: its failure
+		// names none, as a single-pattern scan's does.
+		err = &core.ScanError{Rule: -1, Offset: se.Offset, Cause: se.Cause}
 	}
-	var ms []RuleMatch
-	for _, m := range found {
-		ms = append(ms, RuleMatch{Rule: 0, Start: uint64(m.Start), End: uint64(m.End)})
-	}
-	return ms, nil
+	return ms, err
 }
 
 // isScanFailure reports whether err arose from scan execution (as

@@ -178,7 +178,7 @@ func (s *Server) executeBatch(ctx context.Context, j *job) {
 	var matched int64
 	for i, payload := range items {
 		s.met.batch.bytes.Add(int64(len(payload)))
-		out, err := scanRules(ctx, snap, payload)
+		out, err := scanRules(ctx, snap.rules, payload)
 		if err != nil {
 			results[i] = BatchItemResult{Code: ErrCodeScan, Msg: err.Error()}
 			continue
@@ -191,9 +191,10 @@ func (s *Server) executeBatch(ctx context.Context, j *job) {
 	s.met.batch.latency.Observe(time.Since(j.admitted).Microseconds())
 }
 
-// scanRules runs one payload against a pinned snapshot.
-func scanRules(ctx context.Context, snap *snapshot, payload []byte) ([]RuleMatch, error) {
-	out, err := snap.rules.ScanCtx(ctx, payload)
+// scanRules runs one payload against a rule set — a pinned snapshot's,
+// or an ad-hoc pattern's from the cache.
+func scanRules(ctx context.Context, rs *core.RuleSet, payload []byte) ([]RuleMatch, error) {
+	out, err := rs.ScanCtx(ctx, payload)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package server
 import (
 	"bufio"
 	"container/list"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -62,12 +63,12 @@ func ParseRules(text string) []string {
 	return rules
 }
 
-// programCache is an LRU of compiled ad-hoc engines keyed by pattern
-// source, so repeated OpScanPattern requests for the same expression
-// pay compilation once. Engines are not safe for concurrent scans, so
-// the cache hands out exclusive leases: a Get while the entry's engine
-// is leased compiles a throwaway engine rather than blocking the
-// worker (the cache is an optimisation, never a serialisation point).
+// programCache is an LRU of compiled ad-hoc patterns keyed by source,
+// so repeated OpScanPattern requests for the same expression pay
+// compilation once. Each entry is a one-rule RuleSet, safe for
+// concurrent scans, so every request for a pattern shares its entry:
+// the first compiles it and requests overlapping that compile wait for
+// it instead of compiling their own.
 type programCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -79,12 +80,13 @@ type programCache struct {
 
 type cacheEntry struct {
 	pattern string
-	eng     *core.Engine
-	leased  bool
+	once    sync.Once // the compile
+	rs      *core.RuleSet
+	err     error
 }
 
 // newProgramCache returns an LRU holding up to capacity compiled
-// engines; capacity <= 0 disables caching (every Get compiles).
+// patterns; capacity <= 0 disables caching (every get compiles).
 func newProgramCache(capacity int) *programCache {
 	return &programCache{
 		cap:     capacity,
@@ -93,69 +95,44 @@ func newProgramCache(capacity int) *programCache {
 	}
 }
 
-// get returns an engine for pattern, compiling on miss, and reports
-// whether the engine came from the cache. The caller owns the engine
-// until it calls put.
-func (c *programCache) get(pattern string, opts []core.Option) (*core.Engine, bool, error) {
+// get returns the rule set for pattern, compiling it on a miss. A
+// pattern that fails to compile is never cached, nor does it evict one
+// that compiled.
+func (c *programCache) get(pattern string, opts []core.Option) (*core.RuleSet, error) {
+	e, miss := &cacheEntry{pattern: pattern}, true
 	c.mu.Lock()
 	if el, ok := c.entries[pattern]; ok {
-		e := el.Value.(*cacheEntry)
-		if !e.leased {
-			e.leased = true
-			c.order.MoveToFront(el)
-			c.hits++
-			c.mu.Unlock()
-			e.eng.ResetStats()
-			return e.eng, true, nil
+		c.order.MoveToFront(el)
+		c.hits++
+		e, miss = el.Value.(*cacheEntry), false
+	} else {
+		c.misses++
+		if c.cap > 0 {
+			c.entries[pattern] = c.order.PushFront(e)
 		}
 	}
-	c.misses++
 	c.mu.Unlock()
-
-	prog, err := core.Compile(pattern)
-	if err != nil {
-		return nil, false, err
-	}
-	eng, err := core.NewEngine(prog, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	return eng, false, nil
-}
-
-// put returns an engine leased or compiled by get. Cached engines are
-// released; fresh ones are admitted (evicting the least recently used
-// unleased entry when full) unless their pattern is already cached.
-func (c *programCache) put(pattern string, eng *core.Engine, cached bool) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cached {
-		if el, ok := c.entries[pattern]; ok {
-			el.Value.(*cacheEntry).leased = false
+	e.once.Do(func() {
+		e.rs, e.err = core.NewRuleSet([]string{pattern}, backend.Options{}, opts...)
+		// The compile error itself: a one-pattern request names no rule.
+		if cause := errors.Unwrap(e.err); cause != nil {
+			e.err = cause
 		}
-		return
-	}
-	if _, ok := c.entries[pattern]; ok {
-		return // a concurrent request already cached this pattern
-	}
-	for c.order.Len() >= c.cap {
-		evicted := false
-		for el := c.order.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*cacheEntry); !e.leased {
+	})
+	if miss && c.cap > 0 {
+		c.mu.Lock()
+		if e.err != nil {
+			if el, ok := c.entries[pattern]; ok && el.Value == e {
 				c.order.Remove(el)
-				delete(c.entries, e.pattern)
-				evicted = true
-				break
+				delete(c.entries, pattern)
 			}
 		}
-		if !evicted {
-			return // every entry leased; drop the newcomer instead
+		for c.order.Len() > c.cap {
+			delete(c.entries, c.order.Remove(c.order.Back()).(*cacheEntry).pattern)
 		}
+		c.mu.Unlock()
 	}
-	c.entries[pattern] = c.order.PushFront(&cacheEntry{pattern: pattern, eng: eng, leased: false})
+	return e.rs, e.err
 }
 
 // stats returns the hit/miss counters.

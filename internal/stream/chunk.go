@@ -3,7 +3,7 @@ package stream
 import "alveare/internal/arch"
 
 // DefaultOverlap is the boundary overlap in bytes, shared by the
-// divide-and-conquer multicore engine and the streaming scanner (the
+// divide-and-conquer multicore engine and the streaming window (the
 // paper's DPU baseline makes the same trade on its 16 KiB jobs).
 const DefaultOverlap = 256
 

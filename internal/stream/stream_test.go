@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -33,6 +35,56 @@ func oneShot(t *testing.T, p *isa.Program, data []byte) []arch.Match {
 		t.Fatal(err)
 	}
 	return ms
+}
+
+// scanner is the overlap discipline driven over one resume position the
+// way core.Stream drives it per rule: Window.Fill refills, ScanWindowCtx
+// finalises the owned region, Carry keeps the tail. These tests pin the
+// window machine itself; internal/core pins the rule set's driver.
+type scanner struct {
+	core *arch.Core
+	cfg  Config
+}
+
+func newScanner(t *testing.T, p *isa.Program, cfg Config) *scanner {
+	t.Helper()
+	core, err := arch.NewCore(p, arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &scanner{core: core, cfg: cfg}
+}
+
+// Scan consumes r to EOF, emitting every match in stream order, and
+// returns the bytes consumed.
+func (s *scanner) Scan(r io.Reader, emit EmitFunc) (int64, error) {
+	ctx := context.Background()
+	w := NewWindow(s.cfg.Overlap, 0, nil)
+	pos := 0
+	err := w.Fill(ctx, r, s.cfg.ChunkSize, func(_ int, final bool) (bool, error) {
+		var cont bool
+		var err error
+		pos, cont, err = ScanWindowCtx(ctx, s.core, w.Bytes(), w.Base(), final, w.Overlap(), pos, emit)
+		if cont && err == nil && !final {
+			w.Carry(w.OwnEnd(false))
+		}
+		return cont, err
+	})
+	return int64(w.Limit()), err
+}
+
+func (s *scanner) FindAll(r io.Reader) ([]arch.Match, error) {
+	var out []arch.Match
+	_, err := s.Scan(r, func(m arch.Match, _ []byte) bool {
+		out = append(out, m)
+		return true
+	})
+	return out, err
+}
+
+func (s *scanner) Count(r io.Reader) (int, error) {
+	ms, err := s.FindAll(r)
+	return len(ms), err
 }
 
 func maxMatchLen(ms []arch.Match) int {
@@ -106,10 +158,7 @@ func TestScannerAcrossBoundaries(t *testing.T) {
 	data := []byte(strings.Repeat("zzzz", 5) + "abbbc" + strings.Repeat("y", 9) + "abc" + "abbc")
 	want := oneShot(t, p, data)
 	for _, chunk := range []int{1, 2, 3, 5, 7, 16} {
-		s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: chunk, Overlap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newScanner(t, p, Config{ChunkSize: chunk, Overlap: 8})
 		got, err := s.FindAll(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -123,10 +172,7 @@ func TestScannerAcrossBoundaries(t *testing.T) {
 func TestScannerTextWindow(t *testing.T) {
 	p := compile(t, "[0-9]+")
 	data := []byte("a1b22c333d4444e")
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 4, Overlap: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, Config{ChunkSize: 4, Overlap: 6})
 	var texts []string
 	if _, err := s.Scan(bytes.NewReader(data), func(m arch.Match, text []byte) bool {
 		if !bytes.Equal(text, data[m.Start:m.End]) {
@@ -151,10 +197,7 @@ func TestScannerTextWindow(t *testing.T) {
 func TestScannerEarlyStop(t *testing.T) {
 	p := compile(t, "x")
 	data := []byte(strings.Repeat("ax", 1000))
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 64, Overlap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, Config{ChunkSize: 64, Overlap: 4})
 	seen := 0
 	if _, err := s.Scan(bytes.NewReader(data), func(arch.Match, []byte) bool {
 		seen++
@@ -171,10 +214,7 @@ func TestScannerEmptyAndTinyInputs(t *testing.T) {
 	p := compile(t, "a*")
 	for _, in := range []string{"", "b", "a", "aa"} {
 		want := oneShot(t, p, []byte(in))
-		s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 3, Overlap: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newScanner(t, p, Config{ChunkSize: 3, Overlap: 4})
 		got, err := s.FindAll(strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
@@ -188,10 +228,7 @@ func TestScannerEmptyAndTinyInputs(t *testing.T) {
 func TestScannerChunkSmallerThanOverlap(t *testing.T) {
 	p := compile(t, "needle")
 	data := []byte(strings.Repeat("hay", 40) + "needle" + strings.Repeat("hay", 40))
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 5, Overlap: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, Config{ChunkSize: 5, Overlap: 64})
 	n, err := s.Count(bytes.NewReader(data))
 	if err != nil || n != 1 {
 		t.Fatalf("Count = %d, err %v", n, err)
@@ -216,11 +253,8 @@ func (r *failReader) Read(p []byte) (int, error) {
 func TestScannerReadError(t *testing.T) {
 	p := compile(t, "x")
 	boom := errors.New("boom")
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 8, Overlap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Scan(&failReader{data: []byte("axbxcx more to come"), err: boom}, func(arch.Match, []byte) bool { return true })
+	s := newScanner(t, p, Config{ChunkSize: 8, Overlap: 4})
+	_, err := s.Scan(&failReader{data: []byte("axbxcx more to come"), err: boom}, func(arch.Match, []byte) bool { return true })
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -229,10 +263,7 @@ func TestScannerReadError(t *testing.T) {
 func TestScannerBytesConsumed(t *testing.T) {
 	p := compile(t, "q")
 	data := bytes.Repeat([]byte("pad"), 1000)
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 100, Overlap: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, Config{ChunkSize: 100, Overlap: 10})
 	n, err := s.Scan(bytes.NewReader(data), func(arch.Match, []byte) bool { return true })
 	if err != nil || n != int64(len(data)) {
 		t.Errorf("consumed %d, err %v, want %d", n, err, len(data))
@@ -279,10 +310,7 @@ func TestChunkingEquivalenceProperty(t *testing.T) {
 					if overlap < minOverlap {
 						continue
 					}
-					s, err := New(prog, arch.DefaultConfig(), Config{ChunkSize: chunk, Overlap: overlap})
-					if err != nil {
-						t.Fatal(err)
-					}
+					s := newScanner(t, prog, Config{ChunkSize: chunk, Overlap: overlap})
 					got, err := s.FindAll(bytes.NewReader(data))
 					if err != nil {
 						t.Fatalf("%q chunk=%d overlap=%d: %v", pat, chunk, overlap, err)
@@ -303,10 +331,7 @@ func TestScannerOneByteReader(t *testing.T) {
 	p := compile(t, "ab+c")
 	data := []byte("xxabbcxxabcx")
 	want := oneShot(t, p, data)
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 4, Overlap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, Config{ChunkSize: 4, Overlap: 8})
 	got, err := s.FindAll(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)

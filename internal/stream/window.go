@@ -15,8 +15,8 @@ var ErrSessionFinished = errors.New("stream: session already finished")
 // Window is the buffered window of the overlap discipline: the bytes
 // not yet finalised (the carry tail plus whatever the latest refill or
 // push added) and the stream offset they start at. It is the one
-// window machine every streaming path holds — Scanner pairs it with a
-// single resume position, core.Stream with one per rule — so growing,
+// window machine every streaming path holds — core.Stream pairs it with
+// one resume position per rule, pushed or pulled — so growing,
 // carrying, the owned end and the no-match advance are each decided
 // here and nowhere else. A Window is single-goroutine.
 type Window struct {
