@@ -42,9 +42,14 @@ benchcheck:
 ## front end nor Pool can grow its own copy back. The pull-mode stream
 ## driver exists once too: stream.Window's Fill has one caller under
 ## internal/ (RuleSet.ScanReaderCtx, which an Engine's reader scans run
-## through), so a second pull loop cannot grow back beside it.
+## through), so a second pull loop cannot grow back beside it. And no
+## per-request context grows back on the routing path: the backend
+## client's reused attempt timer is the one bound on a shard leg, so
+## context.WithTimeout/WithDeadline occur in non-test gateway and client
+## code only for the health prober's ping.
 SHELL_SRC  = $(filter-out %_test.go,$(wildcard internal/server/*.go internal/gateway/*.go))
 CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/server/client/*.go))
+ROUTE_SRC  = $(filter-out %_test.go,$(wildcard internal/gateway/*.go internal/server/client/*.go))
 layercheck:
 	@! $(GO) list -deps ./internal/multicore | grep -E '^alveare/internal/(approx|automata|prefilter)$$' \
 		|| { echo "layercheck: internal/multicore must not import a skip tier"; exit 1; }
@@ -58,6 +63,8 @@ layercheck:
 		|| { echo "layercheck: server.DecodeMatches( occurs in $$n non-test files of internal/server/client, want exactly 1"; exit 1; }
 	@n=$$(grep -rF --include='*.go' --exclude='*_test.go' -- '.Fill(' internal | wc -l); [ $$n -eq 1 ] \
 		|| { echo "layercheck: .Fill( has $$n non-test callers under internal/, want exactly 1 (the one pull-mode driver)"; exit 1; }
+	@hits=$$(grep -nE 'context\.With(Timeout|Deadline)\(' $(ROUTE_SRC) | grep -vF 'context.WithTimeout(context.Background(), bs.probeEvery)'); [ -z "$$hits" ] \
+		|| { echo "layercheck: a per-request context in non-test gateway/client code (the attempt timer bounds a shard leg):"; echo "$$hits"; exit 1; }
 
 ## loc: the north-star statistic of ROADMAP aim 2 — non-test Go code
 ## lines (blank and //-only lines excluded) of the serving shell beside

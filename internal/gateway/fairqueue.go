@@ -10,23 +10,20 @@ package gateway
 
 import "sync"
 
-// job is one queued unit of gateway work.
-type job struct {
-	run func()
-}
-
-// tenantQueue is one tenant's slot in the fair queue.
+// tenantQueue is one tenant's slot in the fair queue: a FIFO ring of
+// its queued jobs, allocated once at its full depth.
 type tenantQueue struct {
-	name   string
 	weight int
-	depth  int // FIFO capacity
-	jobs   []*job
-	credit int  // DRR deficit counter
-	active bool // currently in fq.active
+	jobs   []job // len = FIFO capacity
+	head   int   // index of the oldest queued job
+	n      int   // queued jobs
+	credit int   // DRR deficit counter
+	active bool  // currently in fq.active
 }
 
-// fairQueue multiplexes per-tenant FIFOs to the worker pool. Safe for
-// concurrent use; pop blocks until a job is available or the queue is
+// fairQueue multiplexes per-tenant FIFOs to the worker pool. Jobs are
+// held by value, so admission allocates nothing. Safe for concurrent
+// use; pop blocks until a job is available or the queue is
 // closed and fully drained.
 type fairQueue struct {
 	mu      sync.Mutex
@@ -54,23 +51,24 @@ func (fq *fairQueue) addTenant(name string, weight, depth int) {
 	}
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
-	fq.tenants[name] = &tenantQueue{name: name, weight: weight, depth: depth}
+	fq.tenants[name] = &tenantQueue{weight: weight, jobs: make([]job, depth)}
 }
 
 // push enqueues a job for tenant name. Returns false — caller SHEDs —
 // when the tenant's FIFO is at capacity, the tenant is unknown, or
 // the queue is closed.
-func (fq *fairQueue) push(name string, j *job) bool {
+func (fq *fairQueue) push(name string, j job) bool {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	if fq.closed {
 		return false
 	}
 	tq := fq.tenants[name]
-	if tq == nil || len(tq.jobs) >= tq.depth {
+	if tq == nil || tq.n == len(tq.jobs) {
 		return false
 	}
-	tq.jobs = append(tq.jobs, j)
+	tq.jobs[(tq.head+tq.n)%len(tq.jobs)] = j
+	tq.n++
 	if !tq.active {
 		tq.active = true
 		fq.active = append(fq.active, tq)
@@ -83,7 +81,7 @@ func (fq *fairQueue) push(name string, j *job) bool {
 // queue is open and empty. After close it keeps draining queued jobs
 // (graceful drain serves what was admitted) and returns false only
 // once closed and empty.
-func (fq *fairQueue) pop() (*job, bool) {
+func (fq *fairQueue) pop() (job, bool) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	for {
@@ -95,10 +93,12 @@ func (fq *fairQueue) pop() (*job, bool) {
 			if tq.credit <= 0 {
 				tq.credit += tq.weight
 			}
-			j := tq.jobs[0]
-			tq.jobs = tq.jobs[1:]
+			j := tq.jobs[tq.head]
+			tq.jobs[tq.head] = job{} // the queue must not pin a served job's memory
+			tq.head = (tq.head + 1) % len(tq.jobs)
+			tq.n--
 			tq.credit--
-			if len(tq.jobs) == 0 {
+			if tq.n == 0 {
 				// Tenant exhausted: retire it from the active list
 				// without advancing the cursor (the slot's successor
 				// shifts into this index).
@@ -111,7 +111,7 @@ func (fq *fairQueue) pop() (*job, bool) {
 			return j, true
 		}
 		if fq.closed {
-			return nil, false
+			return job{}, false
 		}
 		fq.cond.Wait()
 	}
@@ -122,7 +122,7 @@ func (fq *fairQueue) depthOf(name string) int {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	if tq := fq.tenants[name]; tq != nil {
-		return len(tq.jobs)
+		return tq.n
 	}
 	return 0
 }

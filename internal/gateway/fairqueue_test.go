@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func nopJob() *job { return &job{run: func() {}} }
+func nopJob() job { return job{} }
 
 // Weighted round robin: with both FIFOs saturated, a weight-3 tenant
 // gets three serves per round to a weight-1 tenant's one.
@@ -132,11 +132,10 @@ func TestFairQueueConcurrent(t *testing.T) {
 		go func() {
 			defer consumers.Done()
 			for {
-				j, ok := fq.pop()
-				if !ok {
+				if _, ok := fq.pop(); !ok {
 					return
 				}
-				j.run()
+				served.Done()
 			}
 		}()
 	}
@@ -147,8 +146,7 @@ func TestFairQueueConcurrent(t *testing.T) {
 			defer producers.Done()
 			for i := 0; i < 500; i++ {
 				served.Add(1)
-				j := &job{run: func() { served.Done() }}
-				if fq.push(name, j) {
+				if fq.push(name, job{}) {
 					mu.Lock()
 					admitted++
 					mu.Unlock()
@@ -166,5 +164,40 @@ func TestFairQueueConcurrent(t *testing.T) {
 	defer mu.Unlock()
 	if admitted == 0 {
 		t.Fatal("no jobs admitted")
+	}
+}
+
+// A tenant's FIFO is a ring over its depth: jobs come out in arrival
+// order across the wrap, and a full ring refuses until a pop frees a
+// slot.
+func TestFairQueueFIFOAcrossWrap(t *testing.T) {
+	fq := newFairQueue()
+	fq.addTenant("a", 1, 4)
+	push := func(id uint32) bool { return fq.push("a", job{id: id}) }
+	for id := uint32(1); id <= 4; id++ {
+		if !push(id) {
+			t.Fatalf("push %d within depth refused", id)
+		}
+	}
+	if push(5) {
+		t.Fatal("push past depth admitted")
+	}
+	for _, id := range []uint32{1, 2} {
+		if j, _ := fq.pop(); j.id != id {
+			t.Fatalf("pop = job %d, want %d", j.id, id)
+		}
+	}
+	for id := uint32(5); id <= 6; id++ {
+		if !push(id) {
+			t.Fatalf("push %d after two pops refused", id)
+		}
+	}
+	for _, id := range []uint32{3, 4, 5, 6} {
+		if j, _ := fq.pop(); j.id != id {
+			t.Fatalf("pop = job %d, want %d", j.id, id)
+		}
+	}
+	if d := fq.depthOf("a"); d != 0 {
+		t.Fatalf("depth %d after draining, want 0", d)
 	}
 }

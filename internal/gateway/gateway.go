@@ -20,17 +20,15 @@
 // answer within its budget.
 //
 // SCAN-PATTERN scatter-gathers across every shard the breakers admit,
-// each leg under its own deadline, and merges the replies. A fan-out
+// each leg under the shard timeout, and merges the replies. A fan-out
 // that missed any shard is reported as MATCHES-PARTIAL with explicit
 // answered/missed shard counts — a shard is never silently dropped.
 package gateway
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -240,9 +238,7 @@ type Gateway struct {
 	tenants map[string]*tenantState
 	reg     *metrics.Registry
 	met     gwMetrics
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	passes  *client.Backoff // the pause between full passes over a key's ring walk
 
 	sessions *server.SessionTable[placement, func(closed bool)]
 
@@ -294,7 +290,9 @@ func New(cfg Config) (*Gateway, error) {
 		tenants: make(map[string]*tenantState, len(cfg.Tenants)),
 		reg:     reg,
 		met:     resolveMetrics(reg),
-		rng:     rand.New(rand.NewSource(seed ^ 0x5deece66d)),
+		// Pass k past the first waits a draw from a 2^k ms window,
+		// capped at about a second.
+		passes: client.NewBackoff(2*time.Millisecond, 1024*time.Millisecond, seed^0x5deece66d),
 	}
 	for _, t := range cfg.Tenants {
 		if t.Name == "" || len(t.Name) > server.MaxTenantName {
@@ -417,9 +415,7 @@ func (g *Gateway) pollFleet() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-			defer cancel()
-			snap, err := g.bs.Client(i).StatsCtx(ctx)
+			snap, err := g.bs.Client(i).StatsCtx(g.Context())
 			if err == nil {
 				snaps[i] = snap
 			}
@@ -470,17 +466,18 @@ func (g *Gateway) dispatch(c *server.Conn, f server.Frame) {
 		return
 	}
 
-	// Queue-class work, bare or TENANT-wrapped.
+	// Queue-class work, bare or TENANT-wrapped. The tenant and namespace
+	// alias the frame: the lookup and the ring hash copy nothing.
 	var (
-		hdr   server.TenantHeader
-		op    byte
-		body  []byte
-		named bool
+		name, ns []byte
+		op       byte
+		body     []byte
+		named    bool
 	)
 	switch {
 	case f.Op == server.OpTenant:
 		var err error
-		hdr, op, body, err = server.DecodeTenant(f.Body)
+		name, ns, op, body, err = server.DecodeTenantBytes(f.Body)
 		if err != nil {
 			g.replyErr(c, f.ID, nil, server.ErrCodeBadFrame, err)
 			return
@@ -488,16 +485,18 @@ func (g *Gateway) dispatch(c *server.Conn, f server.Frame) {
 		named = true
 	case server.QueueClass(f.Op):
 		op, body = f.Op, f.Body
-		hdr = server.TenantHeader{Tenant: g.cfg.DefaultTenant}
 	default:
 		c.ReplyErr(f.ID, server.ErrCodeBadFrame, errors.New("unknown opcode "+server.OpName(f.Op)))
 		return
 	}
 
 	g.met.requests.Inc()
-	ts := g.tenants[hdr.Tenant]
+	ts, key := g.tenants[g.cfg.DefaultTenant], keyHash(g.cfg.DefaultTenant, "")
+	if named {
+		ts, key = g.tenants[string(name)], keyHash(name, ns)
+	}
 	if ts == nil {
-		what := hdr.Tenant
+		what := string(name)
 		if !named && what == "" {
 			what = "(no TENANT header)"
 		}
@@ -520,13 +519,8 @@ func (g *Gateway) dispatch(c *server.Conn, f server.Frame) {
 		g.dispatchSessionFrame(c, ts, op, body, f.ID)
 		return
 	}
-	id, key := f.ID, hdr.Key()
 	c.Pending.Add(1)
-	j := &job{run: func() {
-		defer c.Pending.Done()
-		g.execute(c, ts, key, op, body, id)
-	}}
-	if !g.fq.push(hdr.Tenant, j) {
+	if !g.fq.push(ts.name, job{c: c, ts: ts, key: key, op: op, id: f.ID, body: body}) {
 		c.Pending.Done()
 		// Refund the quota token: a fair-queue shed must not also
 		// burn the tenant's contracted rate.
@@ -534,7 +528,20 @@ func (g *Gateway) dispatch(c *server.Conn, f server.Frame) {
 		g.shedReply(c, f.ID, ts, server.ShedReasonFairQ)
 		return
 	}
-	ts.qdepth.Max(int64(g.fq.depthOf(hdr.Tenant)))
+	ts.qdepth.Max(int64(g.fq.depthOf(ts.name)))
+}
+
+// job is one admitted unit of gateway work, queued by value so that
+// admitting it allocates nothing: a routed request, or one turn of a
+// session's frame runner (sess set).
+type job struct {
+	c    *server.Conn
+	ts   *tenantState
+	sess *gwSession
+	key  uint64 // ring hash of the request's tenant/namespace
+	op   byte
+	id   uint32
+	body []byte
 }
 
 // worker serves the fair queue until it closes and drains.
@@ -544,25 +551,28 @@ func (g *Gateway) worker() {
 		if !ok {
 			return
 		}
-		j.run()
+		g.execute(j)
 	}
 }
 
-// execute routes one admitted queue-class request.
-func (g *Gateway) execute(c *server.Conn, ts *tenantState, key string, op byte, body []byte, id uint32) {
-	switch op {
-	case server.OpScan:
-		g.routeSingle(c, ts, key, op, server.OpMatches, body, id)
-	case server.OpCount:
-		g.routeSingle(c, ts, key, op, server.OpCountResp, body, id)
-	case server.OpScanBatch:
-		g.routeSingle(c, ts, key, op, server.OpBatchResp, body, id)
-	case server.OpSessionOpen, server.OpSessionRestore:
-		g.openGwSession(c, ts, key, op, body, id)
-	case server.OpScanPattern:
-		g.scatterGather(c, ts, body, id)
-	case server.OpReload:
-		g.reloadAll(c, ts, body, id)
+// execute runs one admitted job.
+func (g *Gateway) execute(j job) {
+	defer j.c.Pending.Done()
+	switch {
+	case j.sess != nil:
+		g.sessions.Run(j.sess)
+	case j.op == server.OpScan:
+		g.routeSingle(j.c, j.ts, j.key, j.op, server.OpMatches, j.body, j.id)
+	case j.op == server.OpCount:
+		g.routeSingle(j.c, j.ts, j.key, j.op, server.OpCountResp, j.body, j.id)
+	case j.op == server.OpScanBatch:
+		g.routeSingle(j.c, j.ts, j.key, j.op, server.OpBatchResp, j.body, j.id)
+	case j.op == server.OpSessionOpen, j.op == server.OpSessionRestore:
+		g.openGwSession(j.c, j.ts, j.key, j.op, j.body, j.id)
+	case j.op == server.OpScanPattern:
+		g.scatterGather(j.c, j.ts, j.body, j.id)
+	case j.op == server.OpReload:
+		g.reloadAll(j.c, j.ts, j.body, j.id)
 	}
 }
 
@@ -572,30 +582,24 @@ func (g *Gateway) execute(c *server.Conn, ts *tenantState, key string, op byte, 
 // next shard (these ops are idempotent); an authoritative ERROR is
 // forwarded as-is. Budget exhaustion degrades to SHED capacity — the
 // client learns "the fleet is saturated or dark", not a hang.
-func (g *Gateway) routeSingle(c *server.Conn, ts *tenantState, key string, op, wantOp byte, body []byte, id uint32) {
-	order := g.ring.Order(key)
+func (g *Gateway) routeSingle(c *server.Conn, ts *tenantState, key uint64, op, wantOp byte, body []byte, id uint32) {
+	walk := g.ring.walk(key)
 	for attempt := 0; attempt < g.cfg.Retries; attempt++ {
-		idx := order[attempt%len(order)]
-		if attempt > 0 && attempt%len(order) == 0 {
+		idx := walk.next()
+		if attempt > 0 && attempt%g.ring.n == 0 {
 			// A full pass over the fleet failed; back off briefly
 			// (full jitter) before the next pass instead of spinning.
-			// The exponent is capped so a large retry budget over a
-			// small fleet cannot overflow the shift into a negative or
-			// multi-year sleep.
-			exp := attempt / len(order)
-			if exp > 10 {
-				exp = 10 // 2^10 ms ≈ 1s ceiling per inter-pass backoff
-			}
-			g.sleepJitter(time.Duration(1<<uint(exp)) * time.Millisecond)
+			g.pause(attempt / g.ring.n)
 		}
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		f, err := g.bs.Do(ctx, idx, op, wantOp, body)
-		cancel()
+		// The backend client's attempt timeout (ShardTimeout) is the
+		// one bound on the leg; a hung shard's timeout reaches its
+		// breaker as a failure.
+		f, err := g.bs.Do(g.Context(), idx, op, wantOp, body)
 		if err == nil {
-			if idx != order[0] {
+			if idx != walk.owner() {
 				g.met.rerouted.Inc()
 			}
 			ts.ok.Inc()
@@ -617,7 +621,7 @@ func (g *Gateway) routeSingle(c *server.Conn, ts *tenantState, key string, op, w
 }
 
 // scatterGather fans one SCAN-PATTERN out to every shard the breakers
-// admit, each leg under its own deadline, merges the replies
+// admit, each leg under the shard timeout, merges the replies
 // (deduplicated — shards are replicas, so agreement is the common
 // case), and accounts every shard explicitly: full coverage answers
 // MATCHES, anything less answers MATCHES-PARTIAL with answered/missed
@@ -625,24 +629,20 @@ func (g *Gateway) routeSingle(c *server.Conn, ts *tenantState, key string, op, w
 func (g *Gateway) scatterGather(c *server.Conn, ts *tenantState, body []byte, id uint32) {
 	n := g.bs.Len()
 	legs := make([][]server.RuleMatch, n)
-	// ok and failed are tracked separately from legs: a healthy shard
-	// can legitimately answer an empty MATCHES body (legs[i] == nil),
-	// which must count as coverage, not as a failed leg.
+	// ok is tracked separately from legs: a healthy shard can
+	// legitimately answer an empty MATCHES body (legs[i] == nil), which
+	// must count as coverage, not as a failed leg.
 	ok := make([]bool, n)
-	failed := make([]bool, n)
 	var authErr atomic.Pointer[client.ServerError]
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		if !g.bs.Acquire(i) {
-			failed[i] = true
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-			defer cancel()
-			f, err := g.bs.Do(ctx, i, server.OpScanPattern, server.OpMatches, body)
+			f, err := g.bs.Do(g.Context(), i, server.OpScanPattern, server.OpMatches, body)
 			if err != nil {
 				var se *client.ServerError
 				if errors.As(err, &se) && se.Code != server.ErrCodeDraining {
@@ -651,12 +651,10 @@ func (g *Gateway) scatterGather(c *server.Conn, ts *tenantState, body []byte, id
 					// as a failed leg, not a fleet-wide verdict.
 					authErr.Store(se)
 				}
-				failed[i] = true
 				return
 			}
 			ms, err := server.DecodeMatches(f.Body)
 			if err != nil {
-				failed[i] = true
 				return
 			}
 			legs[i] = ms
@@ -673,7 +671,7 @@ func (g *Gateway) scatterGather(c *server.Conn, ts *tenantState, body []byte, id
 	var shardsOK, shardsFailed uint16
 	merged := make(map[server.RuleMatch]struct{})
 	for i := 0; i < n; i++ {
-		if failed[i] || !ok[i] {
+		if !ok[i] {
 			shardsFailed++
 			continue
 		}
@@ -728,9 +726,7 @@ func (g *Gateway) reloadAll(c *server.Conn, ts *tenantState, body []byte, id uin
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-			defer cancel()
-			gen, rules, err := g.bs.Client(i).ReloadCtx(ctx, string(body))
+			gen, rules, err := g.bs.Client(i).ReloadCtx(g.Context(), string(body))
 			results[i] = result{gen: gen, rules: rules, err: err}
 		}(i)
 	}
@@ -778,9 +774,7 @@ func (g *Gateway) forwardControl(c *server.Conn, id uint32, op, wantOp byte, bod
 		if !g.bs.Acquire(i) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		f, err := g.bs.Do(ctx, i, op, wantOp, body)
-		cancel()
+		f, err := g.bs.Do(g.Context(), i, op, wantOp, body)
 		if err == nil {
 			c.WriteFrame(server.Frame{Op: f.Op, ID: id, Body: f.Body})
 			return
@@ -819,16 +813,10 @@ func (g *Gateway) replyErr(c *server.Conn, id uint32, ts *tenantState, code byte
 	c.ReplyErr(id, code, err)
 }
 
-// sleepJitter sleeps a full-jittered draw from (0, d], bounded by the
-// gateway lifecycle (Close aborts the sleep).
-func (g *Gateway) sleepJitter(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	g.rngMu.Lock()
-	d = time.Duration(g.rng.Int63n(int64(d))) + 1
-	g.rngMu.Unlock()
-	t := time.NewTimer(d)
+// pause sleeps the full-jittered backoff before ring pass k+1 (k >= 1
+// passes failed), bounded by the gateway lifecycle (Close aborts it).
+func (g *Gateway) pause(k int) {
+	t := time.NewTimer(g.passes.Delay(k))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -15,7 +15,6 @@
 package gateway
 
 import (
-	"context"
 	"time"
 
 	"alveare/internal/server/client"
@@ -58,15 +57,11 @@ func (g *Gateway) reconcileOnce() int {
 			// here would just burn timeouts.
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		info, err := g.bs.Client(i).RulesInfoCtx(ctx)
-		cancel()
+		info, err := g.bs.Client(i).RulesInfoCtx(g.Context())
 		if err != nil || info.Generation >= target {
 			continue
 		}
-		ctx, cancel = context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		_, _, rerr := g.bs.Client(i).ReloadCtx(ctx, string(rules))
-		cancel()
+		_, _, rerr := g.bs.Client(i).ReloadCtx(g.Context(), string(rules))
 		if rerr != nil {
 			// Still unhealthy; the next tick retries.
 			continue

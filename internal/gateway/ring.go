@@ -2,9 +2,10 @@
 // routing on "tenant/namespace", so one tenant's scans land on one
 // shard (cache locality for its rule working set) while the fleet as a
 // whole spreads tenants evenly. Virtual nodes smooth the distribution;
-// Order walks the ring past the owner so the router can fail over to
-// the next distinct shard when a breaker has the owner excluded — the
-// rebalance after a shard death is just "everyone's walk skips it".
+// a key's walk goes on round the ring past the owner so the router can
+// fail over to the next distinct shard when a breaker has the owner
+// excluded — the rebalance after a shard death is just "everyone's
+// walk skips it".
 package gateway
 
 import (
@@ -53,52 +54,81 @@ func newRing(n, replicas int) *ring {
 	return r
 }
 
-// Owner returns the backend index owning key: the first vnode at or
-// clockwise of the key's hash.
-func (r *ring) Owner(key string) int {
-	return r.points[r.at(key)].owner
-}
-
-// Order returns all n backend indices in ring-walk order from key: the
-// owner first, then each further distinct backend as the walk meets
+// walk starts the ring order of the key whose hash is h: the owner
+// first, then each further distinct backend as the walk clockwise meets
 // it. The router tries them in this order, so failover is sticky (the
 // same key always spills to the same second choice) and total (every
 // backend is eventually tried).
-func (r *ring) Order(key string) []int {
-	out := make([]int, 0, r.n)
-	seen := make([]bool, r.n)
-	for i, start := 0, r.at(key); i < len(r.points) && len(out) < r.n; i++ {
-		o := r.points[(start+i)%len(r.points)].owner
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// at returns the index in points of the first vnode at or clockwise of
-// key's hash.
-func (r *ring) at(key string) int {
-	h := fnv1a(key)
+func (r *ring) walk(h uint64) ringWalk {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return i
+	return ringWalk{r: r, start: i}
 }
+
+// ringWalk yields one key's ring order lazily, so routing a request
+// builds no order slice. After all n backends it starts over at the
+// owner: a retry budget past one pass walks the fleet again.
+type ringWalk struct {
+	r     *ring
+	start int    // index in points of the owner's vnode
+	step  int    // points visited in the current pass
+	left  int    // backends still to yield in the current pass
+	seen  uint64 // backends yielded in the current pass (n <= 64)
+	seenX []bool // the same for fleets past 64 shards
+}
+
+// owner returns the first backend of the walk.
+func (w *ringWalk) owner() int { return w.r.points[w.start].owner }
+
+// next returns the walk's next backend.
+func (w *ringWalk) next() int {
+	if w.left == 0 {
+		w.step, w.left, w.seen = 0, w.r.n, 0
+		if w.r.n > 64 {
+			w.seenX = make([]bool, w.r.n)
+		}
+	}
+	for {
+		o := w.r.points[(w.start+w.step)%len(w.r.points)].owner
+		w.step++
+		if w.seenX != nil {
+			if w.seenX[o] {
+				continue
+			}
+			w.seenX[o] = true
+		} else {
+			if w.seen&(1<<o) != 0 {
+				continue
+			}
+			w.seen |= 1 << o
+		}
+		w.left--
+		return o
+	}
+}
+
+// keyHash is the ring hash of a request's routing key "tenant/namespace",
+// computed without building the key.
+func keyHash[S ~string | ~[]byte](tenant, namespace S) uint64 {
+	return fnv1aMore(fnv1aMore(fnv1aMore(fnvOffset, tenant), "/"), namespace)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // fnv1a is the 64-bit FNV-1a hash — stable across runs and platforms,
 // unlike hash/maphash.
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+func fnv1a(s string) uint64 { return fnv1aMore(fnvOffset, s) }
+
+// fnv1aMore continues an FNV-1a hash h over s.
+func fnv1aMore[S ~string | ~[]byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime
+		h *= fnvPrime
 	}
 	return h
 }

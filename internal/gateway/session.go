@@ -30,7 +30,6 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 
@@ -48,7 +47,7 @@ type placement struct {
 	backend   int    // current shard index
 	ts        *tenantState
 
-	key         string // ring placement key, reused for failover walks
+	key         uint64 // ring hash of the placement key, reused for failover walks
 	overlap     uint32 // negotiated carry, reused for fresh-open failover
 	gen         uint32 // rule generation fence for SESSION-RESTORE
 	ckpt        []byte // last acked post-frame checkpoint (nil: none acked)
@@ -72,7 +71,7 @@ type gwSession = server.Session[placement, func(closed bool)]
 // bothered), and again at the insert, which is what holds the cap when
 // several opens race — the loser's shard-side open falls to the shard's
 // idle reaper like every other abandoned open.
-func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, op byte, body []byte, id uint32) {
+func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key uint64, op byte, body []byte, id uint32) {
 	if g.sessions.Count() >= g.cfg.MaxSessions {
 		g.shedReply(c, id, ts, server.ShedReasonCapacity)
 		return
@@ -93,15 +92,13 @@ func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key string, op 
 		return
 	}
 
-	order := g.ring.Order(key)
+	walk := g.ring.walk(key)
 	for attempt := 0; attempt < g.cfg.Retries; attempt++ {
-		idx := order[attempt%len(order)]
+		idx := walk.next()
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		f, err := g.bs.Do(ctx, idx, op, server.OpSessionOK, wire)
-		cancel()
+		f, err := g.bs.Do(g.Context(), idx, op, server.OpSessionOK, wire)
 		if err != nil {
 			var se *client.ServerError
 			if errors.As(err, &se) && se.Code != server.ErrCodeDraining {
@@ -188,10 +185,7 @@ func (g *Gateway) unknownSession(c *server.Conn, ts *tenantState, id uint32, gwI
 func (g *Gateway) scheduleSession(sess *gwSession) bool {
 	c := sess.Owner
 	c.Pending.Add(1)
-	if g.fq.push(sess.State.ts.name, &job{run: func() {
-		defer c.Pending.Done()
-		g.sessions.Run(sess)
-	}}) {
+	if g.fq.push(sess.State.ts.name, job{c: c, sess: sess}) {
 		return true
 	}
 	c.Pending.Done()
@@ -209,32 +203,37 @@ func (g *Gateway) forwardSessionFrame(sess *gwSession, c *server.Conn, op byte, 
 		g.failoverSessionFrame(sess, c, op, body, id)
 		return
 	}
-	ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-	f, err := g.bs.Do(ctx, sess.State.backend, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
-	cancel()
+	f, err := g.bs.Do(g.Context(), sess.State.backend, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
 	if err != nil {
-		if errors.Is(err, client.ErrShed) {
-			// The shard refused the frame without absorbing it; the
-			// session is intact and the client may resend the chunk.
-			g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
-			return
+		if !g.answerFrameFault(sess, c, id, err) {
+			// Transport loss mid-stream, a draining shard, or a shard
+			// that restarted/reaped and no longer knows the stream.
+			g.failoverSessionFrame(sess, c, op, body, id)
 		}
-		var se *client.ServerError
-		if errors.As(err, &se) &&
-			se.Code != server.ErrCodeUnknownSession && se.Code != server.ErrCodeDraining {
-			// Authoritative shard verdict about the stream itself (a
-			// scan fault that killed it): the carry state is gone on
-			// every replica equally; forward it, the session is over.
-			g.sessions.Close(sess)
-			g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
-			return
-		}
-		// Transport loss mid-stream, a draining shard, or a shard that
-		// restarted/reaped and no longer knows the stream: fail over.
-		g.failoverSessionFrame(sess, c, op, body, id)
 		return
 	}
 	g.ackSessionReply(sess, c, op, f, id, false)
+}
+
+// answerFrameFault answers a session frame whose shard call failed with
+// a verdict the client must see, and reports whether it did: a SHED
+// (the shard refused the frame without absorbing it; the session is
+// intact and the client may resend the chunk), or an authoritative
+// verdict about the stream itself (a scan fault that killed it: the
+// carry state is gone on every replica equally, so the session is
+// over). Any other failure is the caller's to fail over.
+func (g *Gateway) answerFrameFault(sess *gwSession, c *server.Conn, id uint32, err error) bool {
+	if errors.Is(err, client.ErrShed) {
+		g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
+		return true
+	}
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code == server.ErrCodeUnknownSession || se.Code == server.ErrCodeDraining {
+		return false
+	}
+	g.sessions.Close(sess)
+	g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
+	return true
 }
 
 // rewriteSessionID swaps the client-facing gateway id at the head of a
@@ -260,10 +259,10 @@ func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
 func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte, body []byte, id uint32) {
 	g.met.sessFailovers.Inc()
 	lost := sess.State.backend
-	order := g.ring.Order(sess.State.key)
+	walk := g.ring.walk(sess.State.key)
 	for attempt := 0; attempt < g.cfg.Retries; attempt++ {
-		idx := order[attempt%len(order)]
-		if idx == lost && attempt < len(order) {
+		idx := walk.next()
+		if idx == lost && attempt < g.ring.n {
 			// First pass: prefer any other replica over the shard that
 			// just failed. Later passes re-admit it — a shard that
 			// restarted (answered unknown-session) is reachable and may
@@ -281,9 +280,7 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 		if err != nil {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		f, err := g.bs.Do(ctx, idx, rop, server.OpSessionOK, wire)
-		cancel()
+		f, err := g.bs.Do(g.Context(), idx, rop, server.OpSessionOK, wire)
 		if err != nil {
 			// Shed, transport loss, or an ERROR (a replica whose rule
 			// set disagrees with the checkpoint answers one): walk on.
@@ -309,21 +306,9 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		ctx, cancel = context.WithTimeout(g.Context(), g.cfg.ShardTimeout)
-		rf, rerr := g.bs.Do(ctx, idx, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
-		cancel()
+		rf, rerr := g.bs.Do(g.Context(), idx, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
 		if rerr != nil {
-			if errors.Is(rerr, client.ErrShed) {
-				// The replica holds the restored stream but refused the
-				// chunk; the session is intact there.
-				g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
-				return
-			}
-			var se *client.ServerError
-			if errors.As(rerr, &se) &&
-				se.Code != server.ErrCodeUnknownSession && se.Code != server.ErrCodeDraining {
-				g.sessions.Close(sess)
-				g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
+			if g.answerFrameFault(sess, c, id, rerr) {
 				return
 			}
 			// The replacement died too; keep walking — the checkpoint

@@ -9,7 +9,8 @@
 // probe storm against a backend that just came back — with a fixed
 // ticker they all fire at the same phase once the backend's revival
 // resets their breakers together. Each cycle independently draws its
-// sleep from (0, interval], so fleet members decorrelate within one
+// sleep from [interval/16, interval) — the first window of a Backoff
+// whose base is the interval — so fleet members decorrelate within one
 // window and stay decorrelated.
 package client
 
@@ -43,8 +44,9 @@ type BackendsConfig struct {
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// ProbeInterval enables the background health prober: each cycle
-	// sleeps a full-jittered draw from (0, ProbeInterval], then pings
-	// every backend whose breaker is not closed. 0 disables probing.
+	// sleeps a full-jittered draw from [ProbeInterval/16, ProbeInterval),
+	// then pings every backend whose breaker is not closed. 0 disables
+	// probing.
 	ProbeInterval time.Duration
 	// AttemptTimeout bounds each request attempt on a backend (0: only
 	// the caller's context bounds it).
@@ -58,17 +60,13 @@ type BackendsConfig struct {
 // concurrent use. It does not route — Pool round-robins over it and
 // the gateway consistent-hashes over it.
 type Backends struct {
-	members     []*backend
-	reg         *metrics.Registry
-	transitions *metrics.Counter
+	members []*backend
 
 	probeEvery time.Duration
+	probeWait  Backoff // draws each cycle's sleep (base = max = probeEvery)
 	probeStop  chan struct{}
 	probeDone  chan struct{}
 	closeOnce  sync.Once
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // NewBackends builds the fleet substrate. No backend is dialed until
@@ -90,27 +88,23 @@ func NewBackends(addrs []string, cfg BackendsConfig) (*Backends, error) {
 		seed = time.Now().UnixNano()
 	}
 	bs := &Backends{
-		reg:         reg,
-		transitions: reg.Counter("client.breaker.transitions"),
-		probeEvery:  cfg.ProbeInterval,
-		rng:         rand.New(rand.NewSource(seed)),
+		probeEvery: cfg.ProbeInterval,
+		probeWait:  Backoff{base: cfg.ProbeInterval, max: cfg.ProbeInterval, rng: rand.New(rand.NewSource(seed))},
 	}
+	transitions := reg.Counter("client.breaker.transitions")
 	for i, addr := range addrs {
-		copts := []Option{
+		copts := append([]Option{
 			WithMetrics(reg), // shared: attempts/reconnects aggregate
 			WithRetries(0),   // the routing layer owns the retry budget
 			WithSeed(seed + int64(i) + 1),
-		}
-		if cfg.AttemptTimeout > 0 {
-			copts = append(copts, WithAttemptTimeout(cfg.AttemptTimeout))
-		}
-		copts = append(copts, cfg.ClientOptions...)
+			WithAttemptTimeout(cfg.AttemptTimeout),
+		}, cfg.ClientOptions...)
 		gauge := reg.Gauge(fmt.Sprintf("%s%d.breaker_state", prefix, i))
 		gauge.Set(int64(BreakerClosed))
 		bs.members = append(bs.members, &backend{
 			addr: addr,
 			c:    New(addr, copts...),
-			brk:  newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, bs.transitions, gauge),
+			brk:  newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, transitions, gauge),
 		})
 	}
 	if bs.probeEvery > 0 {
@@ -151,8 +145,8 @@ func (bs *Backends) States() []BreakerState {
 // Acquire asks backend i's breaker to admit one request. An open
 // breaker past its cooldown flips half-open and admits the caller as
 // its single probe, so a true return MUST be followed by exactly one
-// Do (or Settle) — dropping the slot on the floor wedges the breaker
-// half-open until the prober rescues it.
+// Do — dropping the slot on the floor wedges the breaker half-open
+// until the prober rescues it.
 func (bs *Backends) Acquire(i int) bool { return bs.members[i].brk.allow() }
 
 // Do issues one attempt of one request on backend i (no retries —
@@ -168,19 +162,9 @@ func (bs *Backends) Do(ctx context.Context, i int, op, wantOp byte, body []byte)
 	return f, err
 }
 
-// Settle releases an Acquire admission without issuing a request,
-// feeding err's verdict (nil = success) to the breaker.
-func (bs *Backends) Settle(ctx context.Context, i int, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	bs.members[i].settle(ctx, err)
-}
-
 // Client returns backend i's Client, for callers that need the full
 // request API (fan-out RELOAD, STATS). Requests issued through it
-// bypass the breaker — pair them with Acquire/Settle when the outcome
-// should count.
+// bypass the breaker.
 func (bs *Backends) Client(i int) *Client { return bs.members[i].c }
 
 // probeLoop pings every non-closed breaker's backend once per
@@ -189,7 +173,7 @@ func (bs *Backends) Client(i int) *Client { return bs.members[i].c }
 func (bs *Backends) probeLoop() {
 	defer close(bs.probeDone)
 	for {
-		t := time.NewTimer(bs.jitteredProbeDelay())
+		t := time.NewTimer(bs.probeWait.Delay(1))
 		select {
 		case <-bs.probeStop:
 			t.Stop()
@@ -209,24 +193,6 @@ func (bs *Backends) probeLoop() {
 			b.settle(context.Background(), err)
 		}
 	}
-}
-
-// jitteredProbeDelay draws one probe cycle's sleep: full jitter over
-// (0, interval], floored at interval/16 so a tiny draw cannot turn
-// the prober into a hot loop (the same floor as the reconnect
-// backoff).
-func (bs *Backends) jitteredProbeDelay() time.Duration {
-	window := bs.probeEvery
-	if window <= 0 {
-		return 0
-	}
-	bs.rngMu.Lock()
-	d := time.Duration(bs.rng.Int63n(int64(window))) + 1
-	bs.rngMu.Unlock()
-	if floor := window / 16; d < floor {
-		d = floor
-	}
-	return d
 }
 
 // Close stops the prober and closes every backend connection.

@@ -6,7 +6,7 @@ import (
 )
 
 // The health-probe interval must be full-jittered — uniform draws
-// over (0, interval] with an interval/16 floor — so a fleet of
+// over (0, interval) with an interval/16 floor — so a fleet of
 // gateways sharing a config cannot synchronise into a probe storm
 // against a recovering shard. This pins the jitter's bounds, spread
 // and determinism.
@@ -16,22 +16,22 @@ func TestBackendsProbeJitter(t *testing.T) {
 	bs, err := NewBackends([]string{srv.addr()}, BackendsConfig{
 		Seed: 99,
 		// ProbeInterval deliberately unset: the loop must not start,
-		// but jitteredProbeDelay still draws from probeEvery.
+		// but probeWait still draws over the window set below.
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bs.Close()
-	bs.probeEvery = interval
+	bs.probeWait.base, bs.probeWait.max = interval, interval
 
 	floor := interval / 16
 	seen := map[time.Duration]bool{}
 	var prev time.Duration
 	monotone := true
 	for i := 0; i < 200; i++ {
-		d := bs.jitteredProbeDelay()
-		if d < floor || d > interval+1 {
-			t.Fatalf("draw %d: %v outside (%v, %v]", i, d, floor, interval)
+		d := bs.probeWait.Delay(1)
+		if d < floor || d >= interval {
+			t.Fatalf("draw %d: %v outside [%v, %v)", i, d, floor, interval)
 		}
 		seen[d] = true
 		if i > 0 && d != prev {
@@ -52,7 +52,7 @@ func TestBackendsProbeJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs2.Close()
-	bs2.probeEvery = interval
+	bs2.probeWait.base, bs2.probeWait.max = interval, interval
 	for i := 0; i < 20; i++ {
 		// bs has consumed 200 draws; use a third fresh instance to
 		// compare against bs2 from the start.
@@ -62,9 +62,9 @@ func TestBackendsProbeJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs3.Close()
-	bs3.probeEvery = interval
+	bs3.probeWait.base, bs3.probeWait.max = interval, interval
 	for i := 0; i < 50; i++ {
-		if a, b := bs2.jitteredProbeDelay(), bs3.jitteredProbeDelay(); a != b {
+		if a, b := bs2.probeWait.Delay(1), bs3.probeWait.Delay(1); a != b {
 			t.Fatalf("draw %d: seeds equal but draws differ (%v vs %v)", i, a, b)
 		}
 	}
@@ -74,10 +74,10 @@ func TestBackendsProbeJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs4.Close()
-	bs4.probeEvery = interval
+	bs4.probeWait.base, bs4.probeWait.max = interval, interval
 	same := 0
 	for i := 0; i < 50; i++ {
-		if bs2.jitteredProbeDelay() == bs4.jitteredProbeDelay() {
+		if bs2.probeWait.Delay(1) == bs4.probeWait.Delay(1) {
 			same++
 		}
 	}

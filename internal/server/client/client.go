@@ -242,9 +242,14 @@ type Client struct {
 	dialTimeout time.Duration
 	attemptTO   time.Duration
 	retries     int
-	bo          backoff
+	bo          Backoff
 	sleep       func(context.Context, time.Duration) error
 	tenant      server.TenantHeader // zero: no envelope
+	// tenantHeads holds, per queue-class opcode, the TENANT envelope the
+	// inner body follows on the wire (nil without a tenant); tenantErr
+	// is why the header does not encode, when it does not.
+	tenantHeads map[byte][]byte
+	tenantErr   error
 
 	reg *metrics.Registry
 	met clientMetrics
@@ -266,7 +271,7 @@ func New(addr string, opts ...Option) *Client {
 		addr:        addr,
 		maxFrame:    server.DefaultMaxFrame,
 		dialTimeout: 10 * time.Second,
-		bo:          backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
+		bo:          Backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 		sleep:       sleepCtx,
 	}
 	c.ops.do = c.do
@@ -280,6 +285,14 @@ func New(addr string, opts ...Option) *Client {
 		c.reg = metrics.New()
 	}
 	c.met = resolveClientMetrics(c.reg)
+	if c.tenant.Tenant != "" {
+		c.tenantHeads = map[byte][]byte{}
+		for op := 0; op < 256 && c.tenantErr == nil; op++ {
+			if server.QueueClass(byte(op)) {
+				c.tenantHeads[byte(op)], c.tenantErr = server.EncodeTenant(c.tenant, byte(op), nil)
+			}
+		}
+	}
 	return c
 }
 
@@ -287,7 +300,7 @@ func New(addr string, opts ...Option) *Client {
 // unreachable right now.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	c := New(addr, opts...)
-	if _, err := c.conn(context.Background()); err != nil {
+	if _, err := c.conn(context.Background(), time.Time{}); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -313,35 +326,21 @@ func (c *Client) Pending() int {
 }
 
 // conn returns the live connection, dialing (or re-dialing) if
-// necessary. Dials are serialised so a burst of concurrent requests
-// after a connection loss produces one reconnect, not a stampede.
-func (c *Client) conn(ctx context.Context) (*connState, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+// necessary, by deadline when it is not zero. Dials are serialised so a
+// burst of concurrent requests after a connection loss produces one
+// reconnect, not a stampede.
+func (c *Client) conn(ctx context.Context, deadline time.Time) (*connState, error) {
+	if cs, err := c.live(); cs != nil || err != nil {
+		return cs, err
 	}
-	if cs := c.cs; cs != nil && !cs.dead() {
-		c.mu.Unlock()
-		return cs, nil
-	}
-	c.mu.Unlock()
-
 	c.dialMu.Lock()
 	defer c.dialMu.Unlock()
 	// Another caller may have reconnected while we waited.
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	if cs, err := c.live(); cs != nil || err != nil {
+		return cs, err
 	}
-	if cs := c.cs; cs != nil && !cs.dead() {
-		c.mu.Unlock()
-		return cs, nil
-	}
-	c.mu.Unlock()
 
-	d := net.Dialer{Timeout: c.dialTimeout}
+	d := net.Dialer{Timeout: c.dialTimeout, Deadline: deadline}
 	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
@@ -365,6 +364,20 @@ func (c *Client) conn(ctx context.Context) (*connState, error) {
 	c.mu.Unlock()
 	go c.readLoop(cs)
 	return cs, nil
+}
+
+// live returns the current connection while it is usable (nil, nil
+// when there is none), or ErrClosed.
+func (c *Client) live() (*connState, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
+	}
+	if cs := c.cs; cs != nil && !cs.dead() {
+		return cs, nil
+	}
+	return nil, nil
 }
 
 // invalidate retires a connection the caller observed failing; the
@@ -451,30 +464,69 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attemptCtx derives the per-attempt context.
-func (c *Client) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.attemptTO <= 0 {
-		return ctx, nil
+// attemptTimers recycles the timers that bound attempts under
+// WithAttemptTimeout. An attempt waits on one of these rather than on
+// a derived context, which would allocate the context, its timer and
+// its Done channel on every request.
+var attemptTimers sync.Pool
+
+// startTimer arms a recycled timer (or a new one) to fire after d.
+func startTimer(d time.Duration) *time.Timer {
+	if t, _ := attemptTimers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
 	}
-	return context.WithTimeout(ctx, c.attemptTO)
+	return time.NewTimer(d)
 }
+
+// stopTimer recycles t (if any); *received says whether its tick was
+// taken. A timer that fired unreceived is drained first: go.mod's go
+// 1.22 selects the pre-1.23 timer channel, whose stale tick would end
+// the next attempt on this timer the moment it began. (With 1.23
+// channels Stop itself discards the tick and returns true.)
+func stopTimer(t *time.Timer, received *bool) {
+	if t == nil {
+		return
+	}
+	if !t.Stop() && !*received {
+		<-t.C
+	}
+	attemptTimers.Put(t)
+}
+
+// waiters recycles response channels. A channel goes back only once it
+// has delivered its frame: one whose attempt gave up may still receive
+// a late frame from readLoop, or be closed by it, so it is dropped.
+var waiters = sync.Pool{New: func() any { return make(chan server.Frame, 1) }}
 
 // attempt issues one request on the current (or a fresh) connection
 // and waits for its response, translating protocol-level failures
-// (SHED, ERROR, desync) into Go errors. On ctx expiry the waiter
+// (SHED, ERROR, desync) into Go errors. WithAttemptTimeout bounds the
+// whole attempt, dial included, and its expiry fails the attempt with
+// context.DeadlineExceeded. On expiry or ctx cancellation the waiter
 // entry is removed before returning, so an abandoned request leaks
 // nothing.
 func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (server.Frame, error) {
 	start := time.Now()
-	wireOp, wireBody := op, body
-	if c.tenant.Tenant != "" && server.QueueClass(op) {
-		wrapped, werr := server.EncodeTenant(c.tenant, op, body)
-		if werr != nil {
-			return server.Frame{}, fmt.Errorf("client: tenant envelope: %w", werr)
-		}
-		wireOp, wireBody = server.OpTenant, wrapped
+	var (
+		deadline time.Time
+		timer    *time.Timer
+		timeout  <-chan time.Time
+		timedOut bool
+	)
+	if c.attemptTO > 0 {
+		deadline, timer = start.Add(c.attemptTO), startTimer(c.attemptTO)
+		timeout = timer.C
 	}
-	cs, err := c.conn(ctx)
+	defer stopTimer(timer, &timedOut)
+	wireOp, prefix := op, []byte(nil)
+	if c.tenantHeads != nil && server.QueueClass(op) {
+		if c.tenantErr != nil {
+			return server.Frame{}, fmt.Errorf("client: tenant envelope: %w", c.tenantErr)
+		}
+		wireOp, prefix = server.OpTenant, c.tenantHeads[op]
+	}
+	cs, err := c.conn(ctx, deadline)
 	if err != nil {
 		return server.Frame{}, err
 	}
@@ -483,24 +535,23 @@ func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (ser
 	id := c.nextID
 	c.mu.Unlock()
 
-	ch := make(chan server.Frame, 1)
+	ch := waiters.Get().(chan server.Frame)
 	cs.mu.Lock()
 	if cs.readErr != nil {
 		err := cs.readErr
 		cs.mu.Unlock()
+		waiters.Put(ch)
 		return server.Frame{}, err
 	}
 	cs.waiters[id] = ch
 	cs.mu.Unlock()
 
 	cs.wmu.Lock()
-	werr := server.WriteFrame(cs.nc, server.Frame{Op: wireOp, ID: id, Body: wireBody})
+	werr := server.WriteFramePrefixed(cs.nc, server.Frame{Op: wireOp, ID: id, Body: body}, prefix)
 	cs.wmu.Unlock()
 	c.met.attempts.Inc()
 	if werr != nil {
-		cs.mu.Lock()
-		delete(cs.waiters, id)
-		cs.mu.Unlock()
+		c.forget(cs, id)
 		c.invalidate(cs)
 		return server.Frame{}, fmt.Errorf("client: write: %w", werr)
 	}
@@ -517,6 +568,7 @@ func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (ser
 			}
 			return server.Frame{}, err
 		}
+		waiters.Put(ch)
 		switch f.Op {
 		case server.OpShed:
 			// A malformed reason still refused the request; it is diagnostic.
@@ -558,12 +610,22 @@ func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (ser
 		}
 		return f, nil
 	case <-ctx.Done():
-		cs.mu.Lock()
-		delete(cs.waiters, id)
-		cs.mu.Unlock()
+		c.forget(cs, id)
 		c.met.attemptLat.Observe(time.Since(start).Microseconds())
 		return server.Frame{}, ctx.Err()
+	case <-timeout:
+		timedOut = true
+		c.forget(cs, id)
+		c.met.attemptLat.Observe(time.Since(start).Microseconds())
+		return server.Frame{}, context.DeadlineExceeded
 	}
+}
+
+// forget drops an abandoned request's waiter entry.
+func (c *Client) forget(cs *connState, id uint32) {
+	cs.mu.Lock()
+	delete(cs.waiters, id)
+	cs.mu.Unlock()
 }
 
 // do runs one request under the retry budget. Only idempotent
@@ -575,11 +637,7 @@ func (c *Client) do(ctx context.Context, op, wantOp byte, body []byte, idempoten
 	}
 	attempts := 0
 	for {
-		actx, cancel := c.attemptCtx(ctx)
-		f, err := c.attempt(actx, op, wantOp, body)
-		if cancel != nil {
-			cancel()
-		}
+		f, err := c.attempt(ctx, op, wantOp, body)
 		if err == nil {
 			return f, nil
 		}
@@ -596,7 +654,7 @@ func (c *Client) do(ctx context.Context, op, wantOp byte, body []byte, idempoten
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 		c.met.retries.Inc()
-		if serr := c.sleep(ctx, c.bo.delay(attempts)); serr != nil {
+		if serr := c.sleep(ctx, c.bo.Delay(attempts)); serr != nil {
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 	}

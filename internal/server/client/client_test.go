@@ -349,7 +349,7 @@ func TestBackoffWindows(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for attempt := 1; attempt <= 8; attempt++ {
-		da, db := a.bo.delay(attempt), b.bo.delay(attempt)
+		da, db := a.bo.Delay(attempt), b.bo.Delay(attempt)
 		if da != db {
 			t.Fatalf("attempt %d: same seed gave %v vs %v", attempt, da, db)
 		}

@@ -124,18 +124,27 @@ func (o ops) StatsCtx(ctx context.Context) (*metrics.Snapshot, error) {
 // Stats fetches and decodes the server's metrics snapshot.
 func (o ops) Stats() (*metrics.Snapshot, error) { return o.StatsCtx(context.Background()) }
 
-// backoff is a retry loop's seeded full-jitter schedule.
-type backoff struct {
+// Backoff is a seeded full-jitter schedule: the retry loops of Client
+// and Pool, the health prober's cycle and the gateway's ring passes all
+// draw their pauses from one. Safe for concurrent use.
+type Backoff struct {
 	base, max time.Duration
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// delay sizes the sleep before retry attempt k (1-based): exponential
-// window base<<(k-1) capped at max, full jitter (uniform over the
-// window) with a small floor so a shed request is never hot-looped.
-func (b *backoff) delay(attempt int) time.Duration {
+// NewBackoff returns the schedule whose window for attempt k is
+// base<<(k-1), capped at max; seed makes its draws replayable.
+func NewBackoff(base, max time.Duration, seed int64) *Backoff {
+	return &Backoff{base: base, max: max, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Delay sizes the pause before attempt k (1-based): a uniform draw
+// over the exponential window base<<(k-1) capped at max (full jitter),
+// floored at window/16 and at 100µs so a shed request is never
+// hot-looped.
+func (b *Backoff) Delay(attempt int) time.Duration {
 	window := b.base
 	for i := 1; i < attempt && window < b.max; i++ {
 		window <<= 1

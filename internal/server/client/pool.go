@@ -45,7 +45,7 @@ func PoolBackoff(base, max time.Duration) PoolOption {
 // PoolSeed seeds the pool's backoff jitter and the per-backend client
 // jitter, for reproducible chaos runs.
 func PoolSeed(seed int64) PoolOption {
-	return func(p *Pool) { p.seed, p.seeded = seed, true }
+	return func(p *Pool) { p.cfg.Seed, p.seeded = seed, true }
 }
 
 // PoolMetrics publishes the pool's resilience metrics (retries,
@@ -53,7 +53,7 @@ func PoolSeed(seed int64) PoolOption {
 // backends are indexed, not named, so snapshots stay byte-stable)
 // into reg.
 func PoolMetrics(reg *metrics.Registry) PoolOption {
-	return func(p *Pool) { p.reg = reg }
+	return func(p *Pool) { p.cfg.Registry = reg }
 }
 
 // PoolBreaker parameterises the per-backend circuit breakers:
@@ -61,7 +61,7 @@ func PoolMetrics(reg *metrics.Registry) PoolOption {
 // half-opens for a single probe after `cooldown`. Defaults: 3
 // failures, 1s cooldown.
 func PoolBreaker(failures int, cooldown time.Duration) PoolOption {
-	return func(p *Pool) { p.brkThreshold, p.brkCooldown = failures, cooldown }
+	return func(p *Pool) { p.cfg.BreakerFailures, p.cfg.BreakerCooldown = failures, cooldown }
 }
 
 // PoolProbe starts a background health prober: each cycle sleeps a
@@ -73,19 +73,19 @@ func PoolBreaker(failures int, cooldown time.Duration) PoolOption {
 // storm against a recovering backend. 0 (the default) disables
 // probing; breakers then recover only via request-path probes.
 func PoolProbe(interval time.Duration) PoolOption {
-	return func(p *Pool) { p.probeEvery = interval }
+	return func(p *Pool) { p.cfg.ProbeInterval = interval }
 }
 
 // PoolAttemptTimeout bounds each individual attempt, so one stalled
 // backend costs one attempt rather than the whole request.
 func PoolAttemptTimeout(d time.Duration) PoolOption {
-	return func(p *Pool) { p.attemptTO = d }
+	return func(p *Pool) { p.cfg.AttemptTimeout = d }
 }
 
 // PoolClientOptions appends extra options to every backend Client
 // (frame limits, dial timeouts, ...).
 func PoolClientOptions(opts ...Option) PoolOption {
-	return func(p *Pool) { p.clientOpts = append(p.clientOpts, opts...) }
+	return func(p *Pool) { p.cfg.ClientOptions = append(p.cfg.ClientOptions, opts...) }
 }
 
 // PoolSleep replaces the backoff sleep (test seam).
@@ -107,9 +107,7 @@ type backend struct {
 // transport failure.
 func (b *backend) settle(parent context.Context, err error) {
 	switch {
-	case err == nil, errors.Is(err, ErrShed):
-		b.brk.onSuccess()
-	case isServerError(err):
+	case err == nil, errors.Is(err, ErrShed), isServerError(err):
 		b.brk.onSuccess()
 	case parent.Err() != nil:
 		b.brk.onCancel()
@@ -126,9 +124,8 @@ func isServerError(err error) bool {
 
 // poolMetrics resolves the pool-level handles once.
 type poolMetrics struct {
-	retries     *metrics.Counter
-	failovers   *metrics.Counter
-	transitions *metrics.Counter
+	retries   *metrics.Counter
+	failovers *metrics.Counter
 }
 
 // Pool is a multi-backend scan-service client. Safe for concurrent
@@ -137,22 +134,13 @@ type poolMetrics struct {
 // round-robin selection and the failover retry loop.
 type Pool struct {
 	ops
-	bs         *Backends
-	retries    int
-	bo         backoff
-	attemptTO  time.Duration
-	probeEvery time.Duration
-	sleep      func(context.Context, time.Duration) error
-
-	brkThreshold int
-	brkCooldown  time.Duration
-
-	seed   int64
-	seeded bool
-
-	reg        *metrics.Registry
-	met        poolMetrics
-	clientOpts []Option
+	bs      *Backends
+	cfg     BackendsConfig // the fleet substrate the options describe
+	seeded  bool           // PoolSeed set cfg.Seed
+	retries int
+	bo      Backoff
+	sleep   func(context.Context, time.Duration) error
+	met     poolMetrics
 
 	mu     sync.Mutex
 	next   int // round-robin cursor
@@ -170,35 +158,25 @@ func NewPool(addrs []string, opts ...PoolOption) (*Pool, error) {
 	}
 	p := &Pool{
 		retries: 2,
-		bo:      backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
+		bo:      Backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 		sleep:   sleepCtx,
 	}
 	p.ops.do = p.do
 	for _, o := range opts {
 		o(p)
 	}
-	if p.reg == nil {
-		p.reg = metrics.New()
+	if p.cfg.Registry == nil {
+		p.cfg.Registry = metrics.New()
 	}
 	p.met = poolMetrics{
-		retries:     p.reg.Counter("client.retries"),
-		failovers:   p.reg.Counter("client.failovers"),
-		transitions: p.reg.Counter("client.breaker.transitions"),
+		retries:   p.cfg.Registry.Counter("client.retries"),
+		failovers: p.cfg.Registry.Counter("client.failovers"),
 	}
-	seed := p.seed
 	if !p.seeded {
-		seed = time.Now().UnixNano()
+		p.cfg.Seed = time.Now().UnixNano()
 	}
-	p.bo.rng = rand.New(rand.NewSource(seed))
-	bs, err := NewBackends(addrs, BackendsConfig{
-		Seed:            seed,
-		Registry:        p.reg,
-		BreakerFailures: p.brkThreshold,
-		BreakerCooldown: p.brkCooldown,
-		ProbeInterval:   p.probeEvery,
-		AttemptTimeout:  p.attemptTO,
-		ClientOptions:   p.clientOpts,
-	})
+	p.bo.rng = rand.New(rand.NewSource(p.cfg.Seed))
+	bs, err := NewBackends(addrs, p.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +191,7 @@ func (p *Pool) Addrs() []string { return p.bs.Addrs() }
 func (p *Pool) States() []BreakerState { return p.bs.States() }
 
 // MetricsSnapshot returns the pool's resilience metrics snapshot.
-func (p *Pool) MetricsSnapshot() *metrics.Snapshot { return p.reg.Snapshot() }
+func (p *Pool) MetricsSnapshot() *metrics.Snapshot { return p.cfg.Registry.Snapshot() }
 
 // pick returns the next backend whose breaker admits a request,
 // round-robin from the cursor; ErrNoBackend when every breaker is
@@ -278,7 +256,7 @@ func (p *Pool) do(ctx context.Context, op, wantOp byte, body []byte, idempotent 
 			return server.Frame{}, err
 		}
 		p.met.retries.Inc()
-		if serr := p.sleep(ctx, p.bo.delay(attempts)); serr != nil {
+		if serr := p.sleep(ctx, p.bo.Delay(attempts)); serr != nil {
 			return server.Frame{}, &RetryError{Attempts: attempts, Err: err}
 		}
 	}

@@ -248,7 +248,7 @@ func pushChunk(ctx context.Context, sess *Session, c *Client, chunk []byte) ([]s
 		if !errors.Is(err, ErrShed) || attempt > c.retries {
 			return nil, 0, err
 		}
-		if serr := c.sleep(ctx, c.bo.delay(attempt)); serr != nil {
+		if serr := c.sleep(ctx, c.bo.Delay(attempt)); serr != nil {
 			return nil, 0, err
 		}
 	}

@@ -422,12 +422,12 @@ func (h TenantHeader) Key() string { return h.Tenant + "/" + h.Namespace }
 // MaxTenantName bytes), u8 length and the namespace (at most
 // MaxTenantName), u8 inner opcode (queue-class only), then the inner
 // body.
-func tenant(w *wire, h *TenantHeader, op *byte, inner *[]byte) {
-	prefixed[uint8](w, &h.Tenant, MaxTenantName)
-	if h.Tenant == "" {
+func tenant[S ~string | ~[]byte](w *wire, name, namespace *S, op *byte, inner *[]byte) {
+	prefixed[uint8](w, name, MaxTenantName)
+	if len(*name) == 0 {
 		w.fail("empty tenant")
 	}
-	prefixed[uint8](w, &h.Namespace, MaxTenantName)
+	prefixed[uint8](w, namespace, MaxTenantName)
 	num(w, op)
 	if !QueueClass(*op) {
 		w.fail("%s cannot carry a tenant header", OpName(*op))
@@ -439,14 +439,23 @@ func tenant(w *wire, h *TenantHeader, op *byte, inner *[]byte) {
 // request. Only queue-class opcodes may be wrapped.
 func EncodeTenant(h TenantHeader, innerOp byte, innerBody []byte) ([]byte, error) {
 	var w wire
-	return w.encode(OpTenant, func() { tenant(&w, &h, &innerOp, &innerBody) })
+	return w.encode(OpTenant, func() { tenant(&w, &h.Tenant, &h.Namespace, &innerOp, &innerBody) })
 }
 
 // DecodeTenant parses a TENANT envelope body; innerBody aliases body.
 func DecodeTenant(body []byte) (h TenantHeader, innerOp byte, innerBody []byte, err error) {
 	w := decoding(OpTenant, body)
-	tenant(&w, &h, &innerOp, &innerBody)
+	tenant(&w, &h.Tenant, &h.Namespace, &innerOp, &innerBody)
 	return h, innerOp, innerBody, w.done()
+}
+
+// DecodeTenantBytes is DecodeTenant for a router: the tenant and the
+// namespace alias body instead of being copied into strings, so looking
+// the tenant up and hashing the routing key allocate nothing.
+func DecodeTenantBytes(body []byte) (tenantName, namespace []byte, innerOp byte, innerBody []byte, err error) {
+	w := decoding(OpTenant, body)
+	tenant(&w, &tenantName, &namespace, &innerOp, &innerBody)
+	return tenantName, namespace, innerOp, innerBody, w.done()
 }
 
 // partialFlagPartial is the MATCHES-PARTIAL flags bit saying at least

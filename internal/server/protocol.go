@@ -152,11 +152,18 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // WriteFrame serialises f to w as one length-prefixed frame, header
 // and body in a single Write: on a TCP_NODELAY socket that is one
 // syscall and one segment train per frame.
-func WriteFrame(w io.Writer, f Frame) error {
+func WriteFrame(w io.Writer, f Frame) error { return WriteFramePrefixed(w, f, nil) }
+
+// WriteFramePrefixed writes f with prefix in front of its body, as one
+// frame in one Write: an envelope (EncodeTenant's output for an empty
+// inner body) around f.Body, without first copying f.Body into an
+// envelope of its own.
+func WriteFramePrefixed(w io.Writer, f Frame, prefix []byte) error {
 	bp := frameBufs.Get().(*[]byte)
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(minFrameLen+len(f.Body)))
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(minFrameLen+len(prefix)+len(f.Body)))
 	buf = append(buf, f.Op)
 	buf = binary.BigEndian.AppendUint32(buf, f.ID)
+	buf = append(buf, prefix...)
 	buf = append(buf, f.Body...)
 	_, err := w.Write(buf)
 	if cap(buf) <= DefaultMaxFrame {
@@ -175,7 +182,7 @@ func ReadFrame(r io.Reader, max int) (Frame, error) {
 		max = DefaultMaxFrame
 	}
 	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	if err := readHeader(r, hdr[:4]); err != nil {
 		return Frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
@@ -185,7 +192,7 @@ func ReadFrame(r io.Reader, max int) (Frame, error) {
 	if int64(n) > int64(max) {
 		return Frame{}, fmt.Errorf("%w: length %d > limit %d", ErrFrameTooLarge, n, max)
 	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+	if err := readHeader(r, hdr[4:]); err != nil {
 		return Frame{}, unexpectedEOF(err)
 	}
 	f := Frame{Op: hdr[4], ID: binary.BigEndian.Uint32(hdr[5:9])}
@@ -196,6 +203,32 @@ func ReadFrame(r io.Reader, max int) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// readHeader fills dst, a slice of ReadFrame's header array, as
+// io.ReadFull would. Through an io.ByteReader (the bufio.Reader every
+// reader loop puts in front of ReadFrame) it copies byte by byte, so
+// dst never reaches an interface call and the header stays on the
+// caller's stack; any other reader costs one small allocation.
+func readHeader(r io.Reader, dst []byte) error {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		buf := make([]byte, len(dst))
+		_, err := io.ReadFull(r, buf)
+		copy(dst, buf)
+		return err
+	}
+	for i := range dst {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 {
+				return unexpectedEOF(err)
+			}
+			return err
+		}
+		dst[i] = b
+	}
+	return nil
 }
 
 // unexpectedEOF maps a mid-frame EOF to io.ErrUnexpectedEOF so callers

@@ -451,28 +451,25 @@ func (s *Server) execute(j *job) {
 	ctx, cancel := s.begin()
 	defer cancel()
 	switch j.f.Op {
-	case OpScan:
-		s.met.scan.requests.Inc()
-		s.met.scan.bytes.Add(int64(len(j.f.Body)))
+	case OpScan, OpCount:
+		ep := &s.met.scan
+		if j.f.Op == OpCount {
+			ep = &s.met.count
+		}
+		ep.requests.Inc()
+		ep.bytes.Add(int64(len(j.f.Body)))
 		ms, err := s.scanSnapshot(ctx, j.f.Body)
 		if err != nil {
 			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
 			break
 		}
 		s.met.matches.Add(int64(len(ms)))
-		j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
-		s.met.scan.latency.Observe(time.Since(j.admitted).Microseconds())
-	case OpCount:
-		s.met.count.requests.Inc()
-		s.met.count.bytes.Add(int64(len(j.f.Body)))
-		ms, err := s.scanSnapshot(ctx, j.f.Body)
-		if err != nil {
-			j.c.ReplyErr(j.f.ID, ErrCodeScan, err)
-			break
+		if j.f.Op == OpCount {
+			j.c.WriteFrame(Frame{Op: OpCountResp, ID: j.f.ID, Body: EncodeCount(uint64(len(ms)))})
+		} else {
+			j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
 		}
-		s.met.matches.Add(int64(len(ms)))
-		j.c.WriteFrame(Frame{Op: OpCountResp, ID: j.f.ID, Body: EncodeCount(uint64(len(ms)))})
-		s.met.count.latency.Observe(time.Since(j.admitted).Microseconds())
+		ep.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpScanPattern:
 		s.met.pattern.requests.Inc()
 		pattern, payload, err := DecodeScanPattern(j.f.Body)
