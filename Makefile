@@ -46,7 +46,10 @@ benchcheck:
 ## per-request context grows back on the routing path: the backend
 ## client's reused attempt timer is the one bound on a shard leg, so
 ## context.WithTimeout/WithDeadline occur in non-test gateway and client
-## code only for the health prober's ping.
+## code only for the health prober's ping. Nor is a session chunk ever
+## copied into a body on the client or relay path: both write a head
+## they encoded once ahead of the chunk, so EncodeSessionData( occurs in
+## no non-test gateway or client code.
 SHELL_SRC  = $(filter-out %_test.go,$(wildcard internal/server/*.go internal/gateway/*.go))
 CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/server/client/*.go))
 ROUTE_SRC  = $(filter-out %_test.go,$(wildcard internal/gateway/*.go internal/server/client/*.go))
@@ -65,6 +68,8 @@ layercheck:
 		|| { echo "layercheck: .Fill( has $$n non-test callers under internal/, want exactly 1 (the one pull-mode driver)"; exit 1; }
 	@hits=$$(grep -nE 'context\.With(Timeout|Deadline)\(' $(ROUTE_SRC) | grep -vF 'context.WithTimeout(context.Background(), bs.probeEvery)'); [ -z "$$hits" ] \
 		|| { echo "layercheck: a per-request context in non-test gateway/client code (the attempt timer bounds a shard leg):"; echo "$$hits"; exit 1; }
+	@hits=$$(grep -nF 'EncodeSessionData(' $(ROUTE_SRC)); [ -z "$$hits" ] \
+		|| { echo "layercheck: EncodeSessionData( in non-test gateway/client code (a chunk follows its session head, never copied into a body):"; echo "$$hits"; exit 1; }
 
 ## loc: the north-star statistic of ROADMAP aim 2 — non-test Go code
 ## lines (blank and //-only lines excluded) of the serving shell beside
@@ -145,7 +150,8 @@ fuzz:
 ## of valid, corrupted and arbitrary checkpoints — no dup/lost match,
 ## no desync), the approx admission never-miss property (filter
 ## soundness plus screened-vs-unscreened identity), and the wire codec
-## (every body a decoder accepts re-encodes to a fixed point).
+## (every body a decoder accepts re-encodes to a fixed point; a relayed
+## SESSION-MATCHES, kept as wire records, re-encodes to the same bytes).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamChunking -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFaultInjection -fuzztime 30s .
@@ -155,6 +161,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzSessionRestore -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzApproxAdmission -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzSessionMatchesRelay -fuzztime 30s ./internal/server/
 
 ## leakcheck: the guardrail tests carry goroutine-leak assertions
 ## (leakCheck in faultmatrix_test.go and the scan-service drain tests);

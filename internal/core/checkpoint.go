@@ -58,12 +58,15 @@ func (st *Stream) Export() []byte {
 	n := len(st.pos)
 	buf, limit := st.win.Bytes(), st.win.Limit()
 	size := streamCkptHeaderLen + len(buf) + 4 + n*9
-	msgs := make([]string, n)
+	var msgs []string // built only once a rule is retired
 	for i := 0; i < n; i++ {
 		if st.dead[i] != nil {
 			msg := st.dead[i].Error()
 			if len(msg) > 0xFFFF {
 				msg = msg[:0xFFFF]
+			}
+			if msgs == nil {
+				msgs = make([]string, n)
 			}
 			msgs[i] = msg
 			size += 2 + len(msg)

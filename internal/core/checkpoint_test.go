@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -166,5 +167,34 @@ func TestRestoreStreamGarbage(t *testing.T) {
 	// mutate copied: the battery did not corrupt its own baseline.
 	if _, err := rs.RestoreStream(valid); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// TestStreamExportRetiredRule pins a checkpoint carrying a rule the
+// Skip policy retired after a fault: the rule's error text travels, the
+// restored stream reports it from FinishCtx, and re-exporting the
+// restored stream gives the same bytes.
+func TestStreamExportRetiredRule(t *testing.T) {
+	rs, err := NewRuleSet([]string{"ab", "zz"}, backend.Options{}, WithPolicy(Skip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.lanes[0].New = func() any { panic("injected core fault") }
+	st := rs.NewStream(8)
+	if _, err := st.PushCtx(context.Background(), []byte("xxabxxzzxx"), func(int, Match, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	cp := st.Export()
+	twin, err := rs.RestoreStream(cp)
+	if err != nil {
+		t.Fatalf("RestoreStream: %v", err)
+	}
+	if again := twin.Export(); !bytes.Equal(again, cp) {
+		t.Fatalf("re-export of the restored stream differs:\n% x\n% x", again, cp)
+	}
+	_, want := st.FinishCtx(context.Background(), func(int, Match, []byte) bool { return true })
+	_, got := twin.FinishCtx(context.Background(), func(int, Match, []byte) bool { return true })
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("FinishCtx: restored %v, exporter %v; want the same retirement error", got, want)
 	}
 }

@@ -240,7 +240,7 @@ type Gateway struct {
 	met     gwMetrics
 	passes  *client.Backoff // the pause between full passes over a key's ring walk
 
-	sessions *server.SessionTable[placement, func(closed bool)]
+	sessions *server.SessionTable[placement, server.Frame]
 
 	// Anti-entropy state: the last fleet-visible RELOAD body and the
 	// highest generation any shard reached applying it. The reconciler
@@ -322,12 +322,12 @@ func New(cfg Config) (*Gateway, error) {
 		bs.Close()
 		return nil, fmt.Errorf("gateway: default tenant %q not in tenant table", cfg.DefaultTenant)
 	}
-	g.sessions = server.NewSessionTable(server.SessionConfig[placement, func(closed bool)]{
+	g.sessions = server.NewSessionTable(server.SessionConfig[placement, server.Frame]{
 		Max:      cfg.MaxSessions,
 		Pending:  cfg.SessionPending,
 		Idle:     cfg.SessionIdleTimeout,
 		Schedule: g.scheduleSession,
-		Exec:     func(_ *gwSession, frame func(bool), closed bool) { frame(closed) },
+		Exec:     g.runSessionFrame,
 		Active:   g.met.sessActive,
 		Reaped:   g.met.sessReaped,
 	})

@@ -4,8 +4,12 @@
 // ack piggybacks the post-frame carry state, so the gateway holds
 // everything needed to rebuild the stream elsewhere. The gateway speaks
 // its own id space to clients — the SESSION-OK a client sees carries a
-// gateway id, and each forwarded frame is rewritten to the shard's id —
-// so a client never learns (or depends on) fleet topology.
+// gateway id, and each forwarded frame leads with the shard's id
+// instead — so a client never learns (or depends on) fleet topology.
+// Nothing on the relay path is re-encoded: a frame goes on as the
+// shard's id head plus the chunk slice of the body the client sent,
+// and the answer comes back as the shard's match records, forwarded
+// without being decoded into a list.
 //
 // Failure contract, end to end: a shard SHED is forwarded as SHED (the
 // chunk was not absorbed; the client may resend it). Transport loss, a
@@ -39,13 +43,13 @@ import (
 )
 
 // placement is a client stream's gateway-side state: which shard holds
-// it (backend, backendID) and what failover needs to rebuild it
-// elsewhere (ckpt, fin, gen). Only the session's single runner touches
-// it — frames of one session execute strictly in arrival order.
+// it (backend, head) and what failover needs to rebuild it elsewhere
+// (ckpt, fin, gen). Only the session's single runner touches it —
+// frames of one session execute strictly in arrival order.
 type placement struct {
-	backendID uint64 // shard-assigned, what the current shard holds
-	backend   int    // current shard index
-	ts        *tenantState
+	backend int    // current shard index
+	head    []byte // the current shard's session id, as its frames lead with it; rebuilt on failover
+	ts      *tenantState
 
 	key         uint64 // ring hash of the placement key, reused for failover walks
 	overlap     uint32 // negotiated carry, reused for fresh-open failover
@@ -56,8 +60,14 @@ type placement struct {
 }
 
 // gwSession is one client stream; its ID is the gateway-assigned id the
-// client holds.
-type gwSession = server.Session[placement, func(closed bool)]
+// client holds. Its FIFO holds the client's SESSION-DATA/SESSION-CLOSE
+// frames by value, their bodies led by the gateway id; they all arrived
+// on the session's owner connection.
+type gwSession = server.Session[placement, server.Frame]
+
+// shardHead is the head of a frame for the shard session backendID:
+// the id alone, which is exactly a SESSION-CLOSE body.
+func shardHead(backendID uint64) []byte { return server.EncodeSessionClose(backendID) }
 
 // openGwSession places one new stream — a fresh SESSION-OPEN or a
 // client-carried SESSION-RESTORE: walk the tenant's ring order to the
@@ -119,7 +129,7 @@ func (g *Gateway) openGwSession(c *server.Conn, ts *tenantState, key uint64, op 
 			g.replyErr(c, id, ts, server.ErrCodeScan, fmt.Errorf("shard session-ok: %w", derr))
 			return
 		}
-		p := placement{backendID: backendID, backend: idx, ts: ts,
+		p := placement{backend: idx, head: shardHead(backendID), ts: ts,
 			key: key, overlap: overlap, gen: gen, ckpt: start.Ckpt, clientFlags: clientFlags}
 		if start.Ckpt != nil {
 			if info, perr := core.PeekCheckpoint(start.Ckpt); perr == nil {
@@ -157,13 +167,7 @@ func (g *Gateway) dispatchSessionFrame(c *server.Conn, ts *tenantState, op byte,
 	}
 	verdict := server.SessionGone
 	if sess := g.sessions.Lookup(c, gwID); sess != nil && sess.State.ts == ts {
-		verdict = g.sessions.Push(sess, func(closed bool) {
-			if closed {
-				g.unknownSession(c, ts, id, sess.ID)
-				return
-			}
-			g.forwardSessionFrame(sess, c, op, body, id)
-		})
+		verdict = g.sessions.Push(sess, server.Frame{Op: op, ID: id, Body: body})
 	}
 	switch verdict {
 	case server.SessionGone:
@@ -192,27 +196,38 @@ func (g *Gateway) scheduleSession(sess *gwSession) bool {
 	return false
 }
 
-// forwardSessionFrame relays one session frame to its current shard,
-// rewriting the leading id to the shard's own. Transport loss, an open
-// breaker, or an unknown-session verdict (shard restarted or reaped the
-// stream) does not kill the session: the frame fails over.
-func (g *Gateway) forwardSessionFrame(sess *gwSession, c *server.Conn, op byte, body []byte, id uint32) {
+// runSessionFrame answers one queued session frame on the runner's
+// worker: forward it, or refuse it unknown-session when a frame ahead
+// of it closed the session.
+func (g *Gateway) runSessionFrame(sess *gwSession, fr server.Frame, closed bool) {
+	if closed {
+		g.unknownSession(sess.Owner, sess.State.ts, fr.ID, sess.ID)
+		return
+	}
+	g.forwardSessionFrame(sess, fr)
+}
+
+// forwardSessionFrame relays one session frame to its current shard
+// under the shard's own id. Transport loss, an open breaker, or an
+// unknown-session verdict (shard restarted or reaped the stream) does
+// not kill the session: the frame fails over.
+func (g *Gateway) forwardSessionFrame(sess *gwSession, fr server.Frame) {
 	if !g.bs.Acquire(sess.State.backend) {
 		// The current shard's breaker is open: move the stream instead
 		// of queueing against a dead shard.
-		g.failoverSessionFrame(sess, c, op, body, id)
+		g.failoverSessionFrame(sess, fr)
 		return
 	}
-	f, err := g.bs.Do(g.Context(), sess.State.backend, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
+	f, err := g.relay(sess, fr)
 	if err != nil {
-		if !g.answerFrameFault(sess, c, id, err) {
+		if !g.answerFrameFault(sess, fr.ID, err) {
 			// Transport loss mid-stream, a draining shard, or a shard
 			// that restarted/reaped and no longer knows the stream.
-			g.failoverSessionFrame(sess, c, op, body, id)
+			g.failoverSessionFrame(sess, fr)
 		}
 		return
 	}
-	g.ackSessionReply(sess, c, op, f, id, false)
+	g.ackSessionReply(sess, fr, f, false)
 }
 
 // answerFrameFault answers a session frame whose shard call failed with
@@ -222,9 +237,9 @@ func (g *Gateway) forwardSessionFrame(sess *gwSession, c *server.Conn, op byte, 
 // verdict about the stream itself (a scan fault that killed it: the
 // carry state is gone on every replica equally, so the session is
 // over). Any other failure is the caller's to fail over.
-func (g *Gateway) answerFrameFault(sess *gwSession, c *server.Conn, id uint32, err error) bool {
+func (g *Gateway) answerFrameFault(sess *gwSession, id uint32, err error) bool {
 	if errors.Is(err, client.ErrShed) {
-		g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
+		g.shedReply(sess.Owner, id, sess.State.ts, server.ShedReasonCapacity)
 		return true
 	}
 	var se *client.ServerError
@@ -232,16 +247,17 @@ func (g *Gateway) answerFrameFault(sess *gwSession, c *server.Conn, id uint32, e
 		return false
 	}
 	g.sessions.Close(sess)
-	g.replyErr(c, id, sess.State.ts, se.Code, errors.New(se.Msg))
+	g.replyErr(sess.Owner, id, sess.State.ts, se.Code, errors.New(se.Msg))
 	return true
 }
 
-// rewriteSessionID swaps the client-facing gateway id at the head of a
-// session frame body for the current shard's own id; dispatch already
-// read the id, so the body parses.
-func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
-	_, chunk, _ := server.DecodeSessionData(body)
-	return server.EncodeSessionData(sess.State.backendID, chunk)
+// relay sends one session frame to the current shard: the shard's id
+// head, then the chunk that follows the gateway id in the client's
+// body (nothing, for a SESSION-CLOSE), as one frame — the chunk is
+// never copied. Dispatch already read the id, so the body parses.
+func (g *Gateway) relay(sess *gwSession, fr server.Frame) (server.Frame, error) {
+	_, chunk, _ := server.DecodeSessionData(fr.Body)
+	return g.bs.DoPrefixed(g.Context(), sess.State.backend, fr.Op, server.OpSessionMatches, sess.State.head, chunk)
 }
 
 // failoverSessionFrame moves a stream whose shard was lost mid-frame:
@@ -256,7 +272,7 @@ func (g *Gateway) rewriteSessionID(sess *gwSession, body []byte) []byte {
 // attempt budget the frame answers SHED — the chunk was absorbed
 // nowhere (the restore point predates it), the client may resend it,
 // and the session stays alive for the next attempt.
-func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte, body []byte, id uint32) {
+func (g *Gateway) failoverSessionFrame(sess *gwSession, fr server.Frame) {
 	g.met.sessFailovers.Inc()
 	lost := sess.State.backend
 	walk := g.ring.walk(sess.State.key)
@@ -299,16 +315,16 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 			g.met.sessGenRefused.Inc()
 			continue
 		}
-		sess.State.backend, sess.State.backendID = idx, backendID
+		sess.State.backend, sess.State.head = idx, shardHead(backendID)
 		g.met.sessRestores.Inc()
 
 		// Replay the one in-flight frame on the replacement shard.
 		if !g.bs.Acquire(idx) {
 			continue
 		}
-		rf, rerr := g.bs.Do(g.Context(), idx, op, server.OpSessionMatches, g.rewriteSessionID(sess, body))
+		rf, rerr := g.relay(sess, fr)
 		if rerr != nil {
-			if g.answerFrameFault(sess, c, id, rerr) {
+			if g.answerFrameFault(sess, fr.ID, rerr) {
 				return
 			}
 			// The replacement died too; keep walking — the checkpoint
@@ -316,22 +332,24 @@ func (g *Gateway) failoverSessionFrame(sess *gwSession, c *server.Conn, op byte,
 			continue
 		}
 		g.met.sessReplays.Inc()
-		g.ackSessionReply(sess, c, op, rf, id, true)
+		g.ackSessionReply(sess, fr, rf, true)
 		return
 	}
 	// No replica absorbed the frame: SHED this chunk only. The session
 	// mapping survives — the next frame (a resend, or the next chunk)
 	// re-attempts the failover.
-	g.shedReply(c, id, sess.State.ts, server.ShedReasonCapacity)
+	g.shedReply(sess.Owner, fr.ID, sess.State.ts, server.ShedReasonCapacity)
 }
 
 // ackSessionReply forwards one shard SESSION-MATCHES to the client:
 // harvest the checkpoint piggyback (the state the next failover would
 // restore), advance the finalised-prefix high-water mark, dedup
-// replayed matches against it, and re-encode for the client — plain
-// unless the client negotiated checkpoints itself.
-func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f server.Frame, id uint32, replayed bool) {
-	final, consumed, ms, ckpt, derr := server.DecodeSessionMatches(f.Body, server.SessionOpenFlagCheckpoint)
+// replayed matches against it, and encode the answer for the client
+// straight into its frame buffer — the shard's match records as they
+// arrived, plain unless the client negotiated checkpoints itself.
+func (g *Gateway) ackSessionReply(sess *gwSession, fr, f server.Frame, replayed bool) {
+	c, id := sess.Owner, fr.ID
+	final, consumed, recs, ckpt, derr := server.DecodeSessionMatchesBytes(f.Body, server.SessionOpenFlagCheckpoint)
 	if derr != nil {
 		// The shard broke the protocol; nothing downstream can be
 		// trusted. Terminal.
@@ -339,21 +357,19 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f se
 		g.replyErr(c, id, sess.State.ts, server.ErrCodeScan, fmt.Errorf("shard session-matches: %w", derr))
 		return
 	}
-	if replayed && sess.State.fin > 0 {
+	if fin := sess.State.fin; replayed && fin > 0 {
 		// Every match already forwarded to the client starts before the
 		// finalised prefix (the checkpoint's window base); every match a
 		// correctly restored replay emits starts at or past it. Matches
 		// below the mark are re-emissions and must not reach the client
 		// twice.
-		kept := ms[:0]
-		for _, m := range ms {
-			if m.Start < sess.State.fin {
+		recs = recs.Keep(func(m server.RuleMatch) bool {
+			if m.Start < fin {
 				g.met.sessDedup.Inc()
-				continue
+				return false
 			}
-			kept = append(kept, m)
-		}
-		ms = kept
+			return true
+		})
 	}
 	if ckpt != nil {
 		sess.State.ckpt = append(sess.State.ckpt[:0], ckpt...)
@@ -361,7 +377,7 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f se
 			sess.State.fin = info.Consumed - info.Buffered
 		}
 	}
-	if op == server.OpSessionClose {
+	if fr.Op == server.OpSessionClose {
 		g.sessions.Close(sess)
 		g.met.sessCloses.Inc()
 	}
@@ -370,8 +386,9 @@ func (g *Gateway) ackSessionReply(sess *gwSession, c *server.Conn, op byte, f se
 	if sess.State.clientFlags&server.SessionOpenFlagCheckpoint == 0 {
 		ckpt = nil
 	}
-	c.WriteFrame(server.Frame{Op: server.OpSessionMatches, ID: id,
-		Body: server.EncodeSessionMatches(final, consumed, ms, ckpt)})
+	c.WriteBody(server.OpSessionMatches, id, func(buf []byte) []byte {
+		return server.AppendSessionMatches(buf, final, consumed, recs, ckpt)
+	})
 }
 
 // SessionCount reports the open mapping count (tests and diagnostics).

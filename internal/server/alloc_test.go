@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"alveare/internal/server"
@@ -40,12 +41,13 @@ func TestServedAllocationBudget(t *testing.T) {
 				t.Fatalf("Scan = %d matches, %v; want 3", len(ms), err)
 			}
 		})
-		// Parent: 16 (a 4 KiB SCAN with three matches). Left: the frame
-		// body each side reads (2), the rule set's match lists and result
-		// (4), scanRules appending three wire matches (3), the worker job
-		// (1), the MATCHES body and its decoding (2).
-		if n > 12 {
-			t.Errorf("one SCAN allocates %v times, want <= %d", n, 12)
+		// Parent: 12 (a 4 KiB SCAN with three matches; 16 before that).
+		// Left: the frame body each side reads (2), the rule set's match
+		// lists and result (4), scanRules' one wire list (1) and the
+		// client's decoded list (1). The worker job queues by value and
+		// MATCHES is encoded into the frame buffer.
+		if n > 8 {
+			t.Errorf("one SCAN allocates %v times, want <= %d", n, 8)
 		}
 	})
 	t.Run("batch", func(t *testing.T) {
@@ -56,9 +58,43 @@ func TestServedAllocationBudget(t *testing.T) {
 				t.Fatalf("ScanBatch = %d results, %v; want %d", len(rs), err, len(items))
 			}
 		})
-		// Parent: 25 (four 1 KiB items, three matches between them).
-		if n > 21 {
-			t.Errorf("one SCAN-BATCH allocates %v times, want <= %d", n, 21)
+		// Parent: 21 (four 1 KiB items, three matches between them; 25
+		// before that). The job and the BATCH-RESP body are gone.
+		if n > 19 {
+			t.Errorf("one SCAN-BATCH allocates %v times, want <= %d", n, 19)
+		}
+	})
+	t.Run("session", func(t *testing.T) {
+		sess, err := c.OpenSessionCheckpointCtx(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		// The last witness sits in the overlap carry, so each frame
+		// reports it for the frame before: warm the carry up first.
+		if _, _, err := sess.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		n := testing.AllocsPerRun(200, func() {
+			ms, _, err := sess.Write(payload)
+			if err != nil {
+				t.Fatalf("session Write: %v", err)
+			}
+			got += len(ms)
+		})
+		if got != 3*201 || sess.Checkpoint() == nil {
+			t.Fatalf("%d matches over 201 frames (checkpoint %v), want %d", got, sess.Checkpoint() != nil, 3*201)
+		}
+		// Parent: 16 (a checkpointed 4 KiB frame with three matches).
+		// Left: the frame body each side reads (2), the stream's
+		// per-rule match lists (3), the exported checkpoint (1) and the
+		// client's decoded list (1). The chunk follows the session's
+		// encoded head, jobs queue by value, the session FIFO reuses its
+		// array, the session reuses its match array, and SESSION-MATCHES
+		// is encoded into the frame buffer.
+		if n > 7 {
+			t.Errorf("one SESSION-DATA allocates %v times, want <= %d", n, 7)
 		}
 	})
 }

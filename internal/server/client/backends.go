@@ -153,11 +153,20 @@ func (bs *Backends) Acquire(i int) bool { return bs.members[i].brk.allow() }
 // the routing layer owns the budget) and settles the breaker with the
 // outcome. The caller must hold an Acquire admission.
 func (bs *Backends) Do(ctx context.Context, i int, op, wantOp byte, body []byte) (server.Frame, error) {
+	return bs.DoPrefixed(ctx, i, op, wantOp, bs.members[i].c.tenantHeads[op], body)
+}
+
+// DoPrefixed is Do for a body that follows prefix on the wire, written
+// as one frame without either being copied: a relay sends its own head
+// ahead of a received payload. prefix is all that precedes body, so a
+// backend whose client carries a TENANT envelope needs it in prefix;
+// the gateway's shard clients carry none.
+func (bs *Backends) DoPrefixed(ctx context.Context, i int, op, wantOp byte, prefix, body []byte) (server.Frame, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	b := bs.members[i]
-	f, err := b.c.do(ctx, op, wantOp, body, false)
+	f, err := b.c.doPrefixed(ctx, op, wantOp, prefix, body, false)
 	b.settle(ctx, err)
 	return f, err
 }

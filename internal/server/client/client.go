@@ -506,7 +506,7 @@ var waiters = sync.Pool{New: func() any { return make(chan server.Frame, 1) }}
 // context.DeadlineExceeded. On expiry or ctx cancellation the waiter
 // entry is removed before returning, so an abandoned request leaks
 // nothing.
-func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (server.Frame, error) {
+func (c *Client) attempt(ctx context.Context, op, wantOp byte, prefix, body []byte) (server.Frame, error) {
 	start := time.Now()
 	var (
 		deadline time.Time
@@ -519,12 +519,12 @@ func (c *Client) attempt(ctx context.Context, op, wantOp byte, body []byte) (ser
 		timeout = timer.C
 	}
 	defer stopTimer(timer, &timedOut)
-	wireOp, prefix := op, []byte(nil)
+	wireOp := op
 	if c.tenantHeads != nil && server.QueueClass(op) {
 		if c.tenantErr != nil {
 			return server.Frame{}, fmt.Errorf("client: tenant envelope: %w", c.tenantErr)
 		}
-		wireOp, prefix = server.OpTenant, c.tenantHeads[op]
+		wireOp = server.OpTenant
 	}
 	cs, err := c.conn(ctx, deadline)
 	if err != nil {
@@ -632,12 +632,20 @@ func (c *Client) forget(cs *connState, id uint32) {
 // requests retry; each retry sleeps the jittered backoff first and
 // reconnects if the connection was lost.
 func (c *Client) do(ctx context.Context, op, wantOp byte, body []byte, idempotent bool) (server.Frame, error) {
+	return c.doPrefixed(ctx, op, wantOp, c.tenantHeads[op], body, idempotent)
+}
+
+// doPrefixed is do for a body that follows prefix, the whole of what
+// precedes it on the wire (op's TENANT envelope included, when c has a
+// tenant): both go out as one frame in one write, neither copied into
+// a body of its own.
+func (c *Client) doPrefixed(ctx context.Context, op, wantOp byte, prefix, body []byte, idempotent bool) (server.Frame, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	attempts := 0
 	for {
-		f, err := c.attempt(ctx, op, wantOp, body)
+		f, err := c.attempt(ctx, op, wantOp, prefix, body)
 		if err == nil {
 			return f, nil
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"alveare/internal/server"
 )
@@ -37,6 +36,10 @@ type Session struct {
 	id      uint64
 	overlap uint32
 	done    bool
+	// head is what every SESSION-DATA chunk follows on the wire: the
+	// session id (encoded as the SESSION-CLOSE body, which is the id
+	// alone), behind the client's TENANT envelope when it has one.
+	head []byte
 
 	// Checkpoint negotiation (OpenSessionCheckpointCtx /
 	// RestoreSessionCtx): flags are the SESSION-OPEN flags the stream
@@ -100,7 +103,9 @@ func (c *Client) startSession(ctx context.Context, start server.SessionStart) (*
 	if err != nil {
 		return nil, fmt.Errorf("client: protocol desync: %w", err)
 	}
+	env := c.tenantHeads[server.OpSessionData] // nil without a tenant
 	return &Session{c: c, id: id, overlap: overlap, flags: start.Flags, gen: gen,
+		head: append(env[:len(env):len(env)], server.EncodeSessionClose(id)...),
 		ckpt: append([]byte(nil), start.Ckpt...)}, nil
 }
 
@@ -129,7 +134,7 @@ func (s *Session) WriteCtx(ctx context.Context, chunk []byte) (ms []server.RuleM
 	if s.done {
 		return nil, 0, ErrSessionClosed
 	}
-	f, err := s.c.do(ctx, server.OpSessionData, server.OpSessionMatches, server.EncodeSessionData(s.id, chunk), false)
+	f, err := s.c.doPrefixed(ctx, server.OpSessionData, server.OpSessionMatches, s.head, chunk, false)
 	if err != nil {
 		if !errors.Is(err, ErrShed) {
 			s.done = true
@@ -180,76 +185,4 @@ func (s *Session) CloseCtx(ctx context.Context) (ms []server.RuleMatch, consumed
 // Close finalises the stream.
 func (s *Session) Close() (ms []server.RuleMatch, consumed uint64, err error) {
 	return s.CloseCtx(context.Background())
-}
-
-// ScanStreamCtx scans r to EOF through a server-side session: open,
-// push chunkSize-sized reads, close, emitting every match in stream
-// order as it arrives. It is the remote counterpart of
-// Engine.ScanReader — byte-identical matches over the same stream —
-// and returns the total bytes scanned. A SHED mid-stream is retried
-// here by resending the unabsorbed chunk after the client's backoff
-// (safe: the server never saw it); any other failure aborts.
-func (c *Client) ScanStreamCtx(ctx context.Context, r io.Reader, chunkSize, overlap int, emit func(m server.RuleMatch) bool) (int64, error) {
-	if chunkSize <= 0 {
-		chunkSize = 64 * 1024
-	}
-	sess, err := c.OpenSessionCtx(ctx, overlap)
-	if err != nil {
-		return 0, err
-	}
-	flush := func(ms []server.RuleMatch) bool {
-		for _, m := range ms {
-			if !emit(m) {
-				return false
-			}
-		}
-		return true
-	}
-	var consumed uint64
-	buf := make([]byte, chunkSize)
-	for {
-		n, rerr := io.ReadFull(r, buf)
-		if n > 0 {
-			ms, cons, werr := pushChunk(ctx, sess, c, buf[:n])
-			if werr != nil {
-				return int64(consumed), werr
-			}
-			consumed = cons
-			if !flush(ms) {
-				sess.CloseCtx(ctx)
-				return int64(consumed), nil
-			}
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			break
-		}
-		if rerr != nil {
-			sess.CloseCtx(ctx)
-			return int64(consumed), rerr
-		}
-	}
-	ms, cons, err := sess.CloseCtx(ctx)
-	if err != nil {
-		return int64(consumed), err
-	}
-	flush(ms)
-	return int64(cons), nil
-}
-
-// pushChunk pushes one chunk, absorbing SHED by backing off and
-// resending — safe precisely because a shed chunk was never absorbed
-// server-side.
-func pushChunk(ctx context.Context, sess *Session, c *Client, chunk []byte) ([]server.RuleMatch, uint64, error) {
-	for attempt := 1; ; attempt++ {
-		ms, cons, err := sess.WriteCtx(ctx, chunk)
-		if err == nil {
-			return ms, cons, nil
-		}
-		if !errors.Is(err, ErrShed) || attempt > c.retries {
-			return nil, 0, err
-		}
-		if serr := c.sleep(ctx, c.bo.Delay(attempt)); serr != nil {
-			return nil, 0, err
-		}
-	}
 }

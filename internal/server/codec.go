@@ -2,10 +2,11 @@
 // a layout: a function that names the body's fields in wire order, each
 // through a field kind (num, rest, prefixed, matches, count, flags) that
 // moves one field in whichever direction the walk runs. The same layout
-// sizes a body, fills one exact allocation with it, and parses and
-// validates a received one, so an encoder and its decoder cannot drift
-// apart. docs/PROTOCOL.md documents every layout; the golden tests in
-// protocol*_test.go pin the bytes.
+// sizes a body, appends it to a buffer — one exact allocation for an
+// Encode*, the pooled frame buffer for an Append* that Conn.WriteBody
+// runs — and parses and validates a received one, so an encoder and its
+// decoder cannot drift apart. docs/PROTOCOL.md documents every layout;
+// the golden tests in protocol*_test.go pin the bytes.
 package server
 
 import (
@@ -37,24 +38,30 @@ type wire struct {
 	err  error  // why a failed walk stopped; nil when a read ran off the body at off
 }
 
-// encode runs layout over w twice: once to size the body, once to fill
-// one exact allocation. A layout is a closure over w, never handed w as
-// an argument, so the walk itself stays off the heap.
-func (w *wire) encode(op byte, layout func()) ([]byte, error) {
+// encode runs layout over w twice: once to size the body, once to
+// append it to dst, which grows only when its spare capacity falls
+// short — so a nil dst is one exact allocation and a pooled frame
+// buffer none. A layout is a closure over w, never handed w as an
+// argument, so the walk itself stays off the heap.
+func (w *wire) encode(dst []byte, op byte, layout func()) ([]byte, error) {
 	w.op = op
 	layout()
 	if w.mode == failed {
-		return nil, w.error()
+		return dst, w.error()
 	}
-	w.buf, w.off, w.mode = make([]byte, w.off), 0, writing
+	n := len(dst)
+	if cap(dst)-n < w.off {
+		dst = append(make([]byte, 0, n+w.off), dst...)
+	}
+	w.buf, w.off, w.mode = dst[:n+w.off], n, writing
 	layout()
 	return w.buf, nil
 }
 
 // mustEncode is encode for the layouts no documented argument can fail;
 // a failure there is a broken caller invariant, not a wire fault.
-func (w *wire) mustEncode(op byte, layout func()) []byte {
-	body, err := w.encode(op, layout)
+func (w *wire) mustEncode(dst []byte, op byte, layout func()) []byte {
+	body, err := w.encode(dst, op, layout)
 	if err != nil {
 		panic(err)
 	}
@@ -236,10 +243,49 @@ type RuleMatch struct {
 // matchRecord is one RuleMatch on the wire: u32 rule, u64 start, u64 end.
 const matchRecord = 4 + 8 + 8
 
+// MatchRecords is a MATCHES list left in its wire form: the records
+// alone, matchRecord bytes each, without the count. Decoded, it aliases
+// the body it was read from, so a relay forwards a list without
+// building one.
+type MatchRecords []byte
+
+// Len returns the number of records.
+func (r MatchRecords) Len() int { return len(r) / matchRecord }
+
+// At decodes record i.
+func (r MatchRecords) At(i int) RuleMatch {
+	b := r[i*matchRecord : (i+1)*matchRecord]
+	return RuleMatch{Rule: binary.BigEndian.Uint32(b),
+		Start: binary.BigEndian.Uint64(b[4:]), End: binary.BigEndian.Uint64(b[12:])}
+}
+
+// Keep compacts r in place to the records keep accepts, in order, and
+// returns them.
+func (r MatchRecords) Keep(keep func(RuleMatch) bool) MatchRecords {
+	kept := r[:0]
+	for i := 0; i < r.Len(); i++ {
+		if keep(r.At(i)) {
+			kept = append(kept, r[i*matchRecord:(i+1)*matchRecord]...)
+		}
+	}
+	return kept
+}
+
+// matchList is a MATCHES list in either form: decoded, or wire records.
+type matchList interface{ []RuleMatch | MatchRecords }
+
 // matches moves a MATCHES list: u32 count, then count records of u32
 // rule, u64 start, u64 end. An empty list decodes as nil. It is the one
-// field kind with its own loop, because every scan answer carries one.
-func matches(w *wire, ms *[]RuleMatch) {
+// field kind with its own loop, because every scan answer carries one;
+// a list kept as MatchRecords moves as raw bytes instead.
+func matches[L matchList](w *wire, list *L) {
+	if recs, ok := any(list).(*MatchRecords); ok {
+		n := uint32(recs.Len())
+		num(w, &n)
+		raw(w, recs, int(n)*matchRecord)
+		return
+	}
+	ms := any(list).(*[]RuleMatch)
 	n := uint32(len(*ms))
 	num(w, &n)
 	b := w.take(int(n) * matchRecord)
@@ -255,18 +301,19 @@ func matches(w *wire, ms *[]RuleMatch) {
 	case n > 0:
 		out := make([]RuleMatch, n)
 		for i := range out {
-			r := b[i*matchRecord : (i+1)*matchRecord]
-			out[i] = RuleMatch{Rule: binary.BigEndian.Uint32(r),
-				Start: binary.BigEndian.Uint64(r[4:]), End: binary.BigEndian.Uint64(r[12:])}
+			out[i] = MatchRecords(b).At(i)
 		}
 		*ms = out
 	}
 }
 
 // EncodeMatches serialises an OpMatches body: one MATCHES list.
-func EncodeMatches(ms []RuleMatch) []byte {
+func EncodeMatches(ms []RuleMatch) []byte { return AppendMatches(nil, ms) }
+
+// AppendMatches appends an OpMatches body to dst.
+func AppendMatches(dst []byte, ms []RuleMatch) []byte {
 	var w wire
-	return w.mustEncode(OpMatches, func() { matches(&w, &ms) })
+	return w.mustEncode(dst, OpMatches, func() { matches(&w, &ms) })
 }
 
 // DecodeMatches parses an OpMatches body.
@@ -280,7 +327,7 @@ func DecodeMatches(body []byte) ([]RuleMatch, error) {
 // EncodeCount serialises an OpCountResp body: u64 total.
 func EncodeCount(n uint64) []byte {
 	var w wire
-	return w.mustEncode(OpCountResp, func() { num(&w, &n) })
+	return w.mustEncode(nil, OpCountResp, func() { num(&w, &n) })
 }
 
 // DecodeCount parses an OpCountResp body.
@@ -300,7 +347,7 @@ func scanPattern(w *wire, pattern *string, payload *[]byte) {
 // EncodeScanPattern serialises an OpScanPattern body.
 func EncodeScanPattern(pattern string, payload []byte) ([]byte, error) {
 	var w wire
-	return w.encode(OpScanPattern, func() { scanPattern(&w, &pattern, &payload) })
+	return w.encode(nil, OpScanPattern, func() { scanPattern(&w, &pattern, &payload) })
 }
 
 // DecodeScanPattern parses an OpScanPattern body; payload aliases body.
@@ -331,7 +378,7 @@ func info(w *wire, in *Info) {
 // EncodeInfo serialises an OpInfo body.
 func EncodeInfo(in Info) ([]byte, error) {
 	var w wire
-	return w.encode(OpInfo, func() { info(&w, &in) })
+	return w.encode(nil, OpInfo, func() { info(&w, &in) })
 }
 
 // DecodeInfo parses an OpInfo body.
@@ -352,7 +399,7 @@ func shed(w *wire, reason *byte) {
 // EncodeShed serialises an OpShed body; reason 0 is the empty form.
 func EncodeShed(reason byte) []byte {
 	var w wire
-	return w.mustEncode(OpShed, func() { shed(&w, &reason) })
+	return w.mustEncode(nil, OpShed, func() { shed(&w, &reason) })
 }
 
 // DecodeShed parses an OpShed body; reason 0 is the reasonless form.
@@ -371,7 +418,7 @@ func reloadOK(w *wire, generation, rules *uint32) {
 // EncodeReloadOK serialises an OpReloadOK body.
 func EncodeReloadOK(generation, rules uint32) []byte {
 	var w wire
-	return w.mustEncode(OpReloadOK, func() { reloadOK(&w, &generation, &rules) })
+	return w.mustEncode(nil, OpReloadOK, func() { reloadOK(&w, &generation, &rules) })
 }
 
 // DecodeReloadOK parses an OpReloadOK body.
@@ -390,7 +437,7 @@ func errorBody(w *wire, code *byte, msg *string) {
 // EncodeError serialises an OpError body.
 func EncodeError(code byte, msg string) []byte {
 	var w wire
-	return w.mustEncode(OpError, func() { errorBody(&w, &code, &msg) })
+	return w.mustEncode(nil, OpError, func() { errorBody(&w, &code, &msg) })
 }
 
 // DecodeError parses an OpError body.
@@ -439,7 +486,7 @@ func tenant[S ~string | ~[]byte](w *wire, name, namespace *S, op *byte, inner *[
 // request. Only queue-class opcodes may be wrapped.
 func EncodeTenant(h TenantHeader, innerOp byte, innerBody []byte) ([]byte, error) {
 	var w wire
-	return w.encode(OpTenant, func() { tenant(&w, &h.Tenant, &h.Namespace, &innerOp, &innerBody) })
+	return w.encode(nil, OpTenant, func() { tenant(&w, &h.Tenant, &h.Namespace, &innerOp, &innerBody) })
 }
 
 // DecodeTenant parses a TENANT envelope body; innerBody aliases body.
@@ -476,7 +523,7 @@ func matchesPartial(w *wire, partial *bool, shardsOK, shardsFailed *uint16, ms *
 // EncodeMatchesPartial serialises an OpMatchesPartial body.
 func EncodeMatchesPartial(partial bool, shardsOK, shardsFailed uint16, ms []RuleMatch) []byte {
 	var w wire
-	return w.mustEncode(OpMatchesPartial, func() { matchesPartial(&w, &partial, &shardsOK, &shardsFailed, &ms) })
+	return w.mustEncode(nil, OpMatchesPartial, func() { matchesPartial(&w, &partial, &shardsOK, &shardsFailed, &ms) })
 }
 
 // DecodeMatchesPartial parses an OpMatchesPartial body.
@@ -503,7 +550,7 @@ func scanBatch(w *wire, items *[][]byte) {
 // EncodeScanBatch serialises an OpScanBatch body.
 func EncodeScanBatch(items [][]byte) ([]byte, error) {
 	var w wire
-	return w.encode(OpScanBatch, func() { scanBatch(&w, &items) })
+	return w.encode(nil, OpScanBatch, func() { scanBatch(&w, &items) })
 }
 
 // DecodeScanBatch parses an OpScanBatch body; the items alias body.
@@ -553,9 +600,12 @@ func batchResults(w *wire, results *[]BatchItemResult) {
 
 // EncodeBatchResults serialises an OpBatchResp body. It answers one
 // SCAN-BATCH, so it never holds more than MaxBatchItems results.
-func EncodeBatchResults(results []BatchItemResult) []byte {
+func EncodeBatchResults(results []BatchItemResult) []byte { return AppendBatchResults(nil, results) }
+
+// AppendBatchResults appends an OpBatchResp body to dst.
+func AppendBatchResults(dst []byte, results []BatchItemResult) []byte {
 	var w wire
-	return w.mustEncode(OpBatchResp, func() { batchResults(&w, &results) })
+	return w.mustEncode(dst, OpBatchResp, func() { batchResults(&w, &results) })
 }
 
 // DecodeBatchResults parses an OpBatchResp body.
@@ -622,7 +672,7 @@ func EncodeSessionStart(s SessionStart) (op byte, body []byte, err error) {
 		op = OpSessionRestore
 	}
 	var w wire
-	body, err = w.encode(op, func() { sessionStart(&w, &s) })
+	body, err = w.encode(nil, op, func() { sessionStart(&w, &s) })
 	return op, body, err
 }
 
@@ -650,7 +700,7 @@ func sessionOK(w *wire, negotiated byte, id *uint64, overlap, generation *uint32
 // with the given flags.
 func EncodeSessionOK(id uint64, overlap, generation uint32, negotiated byte) []byte {
 	var w wire
-	return w.mustEncode(OpSessionOK, func() { sessionOK(&w, negotiated, &id, &overlap, &generation) })
+	return w.mustEncode(nil, OpSessionOK, func() { sessionOK(&w, negotiated, &id, &overlap, &generation) })
 }
 
 // DecodeSessionOK parses an OpSessionOK body answering a start with the
@@ -672,7 +722,7 @@ func sessionData(w *wire, id *uint64, chunk *[]byte) {
 // EncodeSessionData serialises an OpSessionData body.
 func EncodeSessionData(id uint64, chunk []byte) []byte {
 	var w wire
-	return w.mustEncode(OpSessionData, func() { sessionData(&w, &id, &chunk) })
+	return w.mustEncode(nil, OpSessionData, func() { sessionData(&w, &id, &chunk) })
 }
 
 // DecodeSessionData parses an OpSessionData body; chunk aliases body.
@@ -711,7 +761,7 @@ const (
 // checkpoints), u64 consumed stream bytes, a MATCHES list with absolute
 // stream offsets, then for a piggyback u32 length and the non-empty
 // checkpoint — exactly what SESSION-RESTORE accepts.
-func sessionMatches(w *wire, negotiated byte, final *bool, consumed *uint64, ms *[]RuleMatch, ckpt *[]byte) {
+func sessionMatches[L matchList](w *wire, negotiated byte, final *bool, consumed *uint64, ms *L, ckpt *[]byte) {
 	f := flag(*final, sessionFlagFinal) | flag(len(*ckpt) > 0, sessionFlagCkpt)
 	flags(w, &f, sessionFlagFinal|flag(negotiated&SessionOpenFlagCheckpoint != 0, sessionFlagCkpt))
 	*final = f&sessionFlagFinal != 0
@@ -728,8 +778,14 @@ func sessionMatches(w *wire, negotiated byte, final *bool, consumed *uint64, ms 
 // EncodeSessionMatches serialises an OpSessionMatches body; an empty
 // ckpt sends no piggyback.
 func EncodeSessionMatches(final bool, consumed uint64, ms []RuleMatch, ckpt []byte) []byte {
+	return AppendSessionMatches(nil, final, consumed, ms, ckpt)
+}
+
+// AppendSessionMatches appends an OpSessionMatches body to dst, its
+// list given decoded or, by a relay, as the wire records it received.
+func AppendSessionMatches[L matchList](dst []byte, final bool, consumed uint64, ms L, ckpt []byte) []byte {
 	var w wire
-	return w.mustEncode(OpSessionMatches, func() {
+	return w.mustEncode(dst, OpSessionMatches, func() {
 		sessionMatches(&w, SessionOpenFlagCheckpoint, &final, &consumed, &ms, &ckpt)
 	})
 }
@@ -747,4 +803,13 @@ func DecodeSessionMatches(body []byte, negotiated byte) (final bool, consumed ui
 	w := decoding(OpSessionMatches, body)
 	sessionMatches(&w, negotiated, &final, &consumed, &ms, &ckpt)
 	return final, consumed, ms, ckpt, w.done()
+}
+
+// DecodeSessionMatchesBytes is DecodeSessionMatches for a relay: the
+// list stays wire records aliasing body, so forwarding the answer
+// builds no list.
+func DecodeSessionMatchesBytes(body []byte, negotiated byte) (final bool, consumed uint64, recs MatchRecords, ckpt []byte, err error) {
+	w := decoding(OpSessionMatches, body)
+	sessionMatches(&w, negotiated, &final, &consumed, &recs, &ckpt)
+	return final, consumed, recs, ckpt, w.done()
 }

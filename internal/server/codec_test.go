@@ -181,3 +181,58 @@ func TestCodecAllocations(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSessionMatchesRelay holds the relay's form of a SESSION-MATCHES
+// answer to the decoded one: the wire-record decoder accepts exactly
+// what DecodeSessionMatches accepts, its records are the decoded list,
+// and appending them behind any prefix — into a buffer with room, as a
+// frame buffer has — writes the bytes EncodeSessionMatches writes for
+// the list, without allocating.
+func FuzzSessionMatchesRelay(f *testing.F) {
+	for _, tc := range append(goldenStreamFrames, goldenCheckpointFrames...) {
+		f.Add(tc.frame.Body, true)
+		f.Add(tc.frame.Body, false)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, negotiate bool) {
+		negotiated := flag(negotiate, SessionOpenFlagCheckpoint)
+		final, consumed, ms, ckpt, err := DecodeSessionMatches(body, negotiated)
+		rfinal, rconsumed, recs, rckpt, rerr := DecodeSessionMatchesBytes(bytes.Clone(body), negotiated)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("% x: decoders disagree: %v vs %v", body, err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if rfinal != final || rconsumed != consumed || !bytes.Equal(rckpt, ckpt) || recs.Len() != len(ms) {
+			t.Fatalf("% x: record form differs from the decoded one", body)
+		}
+		for i, m := range ms {
+			if recs.At(i) != m {
+				t.Fatalf("% x: record %d is %+v, want %+v", body, i, recs.At(i), m)
+			}
+		}
+		want := append([]byte("head"), EncodeSessionMatches(final, consumed, ms, ckpt)...)
+		buf := make([]byte, 4, len(want))
+		copy(buf, "head")
+		var got []byte
+		if n := testing.AllocsPerRun(1, func() { got = AppendSessionMatches(buf, final, consumed, recs, ckpt) }); n != 0 {
+			t.Errorf("% x: appending into a buffer with room allocates %v times", body, n)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("% x: relayed as % x, want % x", body, got, want)
+		}
+	})
+}
+
+// TestMatchRecordsKeep: Keep compacts the records in place, in order.
+func TestMatchRecordsKeep(t *testing.T) {
+	ms := []RuleMatch{{0, 1, 2}, {1, 9, 12}, {2, 3, 4}, {0, 20, 21}}
+	_, _, recs, _, err := DecodeSessionMatchesBytes(EncodeSessionMatches(false, 30, ms, nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := recs.Keep(func(m RuleMatch) bool { return m.Start >= 5 })
+	if kept.Len() != 2 || kept.At(0) != ms[1] || kept.At(1) != ms[3] || &kept[0] != &recs[0] {
+		t.Fatalf("Keep(start >= 5) = %d records, want ms[1], ms[3] in place", kept.Len())
+	}
+}

@@ -159,18 +159,26 @@ func WriteFrame(w io.Writer, f Frame) error { return WriteFramePrefixed(w, f, ni
 // inner body) around f.Body, without first copying f.Body into an
 // envelope of its own.
 func WriteFramePrefixed(w io.Writer, f Frame, prefix []byte) error {
+	_, err := writeFrame(w, f.Op, f.ID, func(buf []byte) []byte { return append(append(buf, prefix...), f.Body...) })
+	return err
+}
+
+// writeFrame is every frame write: the header, then whatever body
+// appends to the pooled frame buffer — bytes the caller holds, or a
+// layout the codec walks straight into it (Conn.WriteBody) — written
+// in one Write. It returns the frame's size on the wire.
+func writeFrame(w io.Writer, op byte, id uint32, body func(buf []byte) []byte) (int, error) {
 	bp := frameBufs.Get().(*[]byte)
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(minFrameLen+len(prefix)+len(f.Body)))
-	buf = append(buf, f.Op)
-	buf = binary.BigEndian.AppendUint32(buf, f.ID)
-	buf = append(buf, prefix...)
-	buf = append(buf, f.Body...)
+	buf := append((*bp)[:0], 0, 0, 0, 0, op)
+	buf = body(binary.BigEndian.AppendUint32(buf, id))
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	_, err := w.Write(buf)
+	n := len(buf)
 	if cap(buf) <= DefaultMaxFrame {
 		*bp = buf
 		frameBufs.Put(bp)
 	}
-	return err
+	return n, err
 }
 
 // ReadFrame reads one frame from r, rejecting frames whose length field

@@ -162,14 +162,15 @@ type Server struct {
 	met    serverMetrics
 	reload sync.Mutex // serialises Reload's compile-and-swap
 
-	queue     chan *job
+	queue     chan job
 	qdepth    atomic.Int64
-	sessions  *SessionTable[stream, *job]
+	sessions  *SessionTable[stream, job]
 	wgWorkers sync.WaitGroup
 }
 
-// job is one admitted request awaiting a worker. A runner job (no frame
-// of its own) drains one session's FIFO in arrival order.
+// job is one admitted request awaiting a worker, queued by value so
+// that admitting it allocates nothing. A runner job (no frame of its
+// own) drains one session's FIFO in arrival order.
 type job struct {
 	c        *Conn
 	f        Frame
@@ -271,9 +272,9 @@ func New(cfg Config) (*Server, error) {
 		cache: newProgramCache(cfg.PatternCache),
 		reg:   reg,
 		met:   resolveMetrics(reg),
-		queue: make(chan *job, cfg.QueueDepth),
+		queue: make(chan job, cfg.QueueDepth),
 	}
-	s.sessions = NewSessionTable(SessionConfig[stream, *job]{
+	s.sessions = NewSessionTable(SessionConfig[stream, job]{
 		Max:      cfg.MaxSessions,
 		Pending:  cfg.SessionPending,
 		Idle:     cfg.SessionIdleTimeout,
@@ -389,7 +390,7 @@ func (s *Server) dispatch(c *Conn, f Frame) {
 			// Session frames must execute in arrival order, one at a time:
 			// they join the session's FIFO, not the queue directly.
 			s.dispatchSession(c, f, start)
-		case !s.enqueue(&job{c: c, f: f, admitted: start}):
+		case !s.enqueue(job{c: c, f: f, admitted: start}):
 			s.shed(c, f.ID)
 		}
 	default:
@@ -399,7 +400,7 @@ func (s *Server) dispatch(c *Conn, f Frame) {
 
 // enqueue offers one job to the bounded queue. A full queue refuses
 // immediately — the caller sheds; a reader is never blocked.
-func (s *Server) enqueue(j *job) bool {
+func (s *Server) enqueue(j job) bool {
 	j.c.Pending.Add(1)
 	select {
 	case s.queue <- j:
@@ -427,7 +428,7 @@ func (s *Server) worker() {
 		if j.runner != nil {
 			s.sessions.Run(j.runner)
 		} else {
-			s.execute(j)
+			s.execute(&j)
 		}
 		j.c.Pending.Done()
 	}
@@ -467,7 +468,7 @@ func (s *Server) execute(j *job) {
 		if j.f.Op == OpCount {
 			j.c.WriteFrame(Frame{Op: OpCountResp, ID: j.f.ID, Body: EncodeCount(uint64(len(ms)))})
 		} else {
-			j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
+			j.c.WriteBody(OpMatches, j.f.ID, func(buf []byte) []byte { return AppendMatches(buf, ms) })
 		}
 		ep.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpScanPattern:
@@ -488,7 +489,7 @@ func (s *Server) execute(j *job) {
 			break
 		}
 		s.met.matches.Add(int64(len(ms)))
-		j.c.WriteFrame(Frame{Op: OpMatches, ID: j.f.ID, Body: EncodeMatches(ms)})
+		j.c.WriteBody(OpMatches, j.f.ID, func(buf []byte) []byte { return AppendMatches(buf, ms) })
 		s.met.pattern.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpReload:
 		s.met.reload.requests.Inc()

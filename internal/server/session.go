@@ -24,11 +24,15 @@ import (
 // stream is the server's per-session state.
 type stream struct {
 	st   *core.Stream
-	ckpt bool // piggyback a post-frame checkpoint on SESSION-MATCHES
+	ckpt bool        // piggyback a post-frame checkpoint on SESSION-MATCHES
+	ms   []RuleMatch // one frame's matches; the array is reused frame to frame
 }
 
+// keptMatches bounds the match array a session keeps between frames.
+const keptMatches = 4096
+
 // session is one open streaming session; its queued frames are jobs.
-type session = Session[stream, *job]
+type session = Session[stream, job]
 
 // startSession executes an admitted SESSION-OPEN or SESSION-RESTORE:
 // build the stream against the current snapshot — fresh, or rebuilt
@@ -85,7 +89,7 @@ func (s *Server) dispatchSession(c *Conn, f Frame, start time.Time) {
 	}
 	verdict := SessionGone
 	if sess := s.sessions.Lookup(c, id); sess != nil {
-		verdict = s.sessions.Push(sess, &job{c: c, f: f, admitted: start})
+		verdict = s.sessions.Push(sess, job{c: c, f: f, admitted: start})
 	}
 	switch verdict {
 	case SessionGone:
@@ -97,7 +101,7 @@ func (s *Server) dispatchSession(c *Conn, f Frame, start time.Time) {
 
 // scheduleSession places sess's runner in the scan queue.
 func (s *Server) scheduleSession(sess *session) bool {
-	return s.enqueue(&job{c: sess.Owner, runner: sess})
+	return s.enqueue(job{c: sess.Owner, runner: sess})
 }
 
 // executeSession runs one admitted session frame under the per-request
@@ -106,18 +110,26 @@ func (s *Server) scheduleSession(sess *session) bool {
 // the session closes and the client must re-open — it can never
 // silently lose or duplicate matches across the fault. Frames that
 // raced in behind the close are answered unknown-session.
-func (s *Server) executeSession(sess *session, j *job, closed bool) {
+func (s *Server) executeSession(sess *session, j job, closed bool) {
 	if closed {
 		j.c.ReplyErr(j.f.ID, ErrCodeUnknownSession, fmt.Errorf("unknown session %d", sess.ID))
 		return
 	}
 	ctx, cancel := s.begin()
 	defer cancel()
-	var ms []RuleMatch
+	ms := sess.State.ms[:0]
 	emit := func(rule int, m core.Match, _ []byte) bool {
 		ms = append(ms, RuleMatch{Rule: uint32(rule), Start: uint64(m.Start), End: uint64(m.End)})
 		return true
 	}
+	// The response is encoded before the next frame runs, so the next
+	// frame may reuse the array — unless one frame grew it past
+	// keptMatches, whose memory the session must not hold for its life.
+	defer func() {
+		if cap(ms) <= keptMatches {
+			sess.State.ms = ms[:0]
+		}
+	}()
 	st := sess.State.st
 	switch j.f.Op {
 	case OpSessionData:
@@ -137,8 +149,9 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 			// replica after losing this shard.
 			ckpt = st.Export()
 		}
-		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatches(false, uint64(st.Consumed()), ms, ckpt)})
+		j.c.WriteBody(OpSessionMatches, j.f.ID, func(buf []byte) []byte {
+			return AppendSessionMatches(buf, false, uint64(st.Consumed()), ms, ckpt)
+		})
 		s.met.sessData.latency.Observe(time.Since(j.admitted).Microseconds())
 	case OpSessionClose:
 		if _, err := DecodeSessionClose(j.f.Body); err != nil {
@@ -153,8 +166,9 @@ func (s *Server) executeSession(sess *session, j *job, closed bool) {
 			return
 		}
 		s.met.matches.Add(int64(len(ms)))
-		j.c.WriteFrame(Frame{Op: OpSessionMatches, ID: j.f.ID,
-			Body: EncodeSessionMatches(true, uint64(st.Consumed()), ms, nil)})
+		j.c.WriteBody(OpSessionMatches, j.f.ID, func(buf []byte) []byte {
+			return AppendSessionMatches(buf, true, uint64(st.Consumed()), ms, nil)
+		})
 	}
 }
 
@@ -187,18 +201,26 @@ func (s *Server) executeBatch(ctx context.Context, j *job) {
 		matched += int64(len(out))
 	}
 	s.met.matches.Add(matched)
-	j.c.WriteFrame(Frame{Op: OpBatchResp, ID: j.f.ID, Body: EncodeBatchResults(results)})
+	j.c.WriteBody(OpBatchResp, j.f.ID, func(buf []byte) []byte { return AppendBatchResults(buf, results) })
 	s.met.batch.latency.Observe(time.Since(j.admitted).Microseconds())
 }
 
 // scanRules runs one payload against a rule set — a pinned snapshot's,
-// or an ad-hoc pattern's from the cache.
+// or an ad-hoc pattern's from the cache — into one list sized from the
+// rule set's result.
 func scanRules(ctx context.Context, rs *core.RuleSet, payload []byte) ([]RuleMatch, error) {
 	out, err := rs.ScanCtx(ctx, payload)
 	if err != nil {
 		return nil, err
 	}
-	var ms []RuleMatch
+	n := 0
+	for _, rm := range out {
+		n += len(rm.Matches)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	ms := make([]RuleMatch, 0, n)
 	for _, rm := range out {
 		for _, m := range rm.Matches {
 			ms = append(ms, RuleMatch{Rule: uint32(rm.Rule), Start: uint64(m.Start), End: uint64(m.End)})

@@ -20,6 +20,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -55,7 +56,7 @@ type Session[S, T any] struct {
 	State S
 
 	mu      sync.Mutex
-	pending []T  // admitted frames awaiting the runner, FIFO
+	pending []T  // admitted frames awaiting the runner, FIFO; its array is reused
 	running bool // a runner is queued or draining the FIFO
 	closed  bool
 	last    time.Time // last activity, for idle reaping
@@ -156,8 +157,10 @@ func (t *SessionTable[S, T]) Run(s *Session[S, T]) {
 			s.mu.Unlock()
 			return
 		}
+		// Shift the FIFO down rather than reslice past its head: a slice
+		// walked off its array re-allocates on the next push.
 		item := s.pending[0]
-		s.pending = s.pending[1:]
+		s.pending = slices.Delete(s.pending, 0, 1)
 		closed := s.closed
 		s.mu.Unlock()
 		t.cfg.Exec(s, item, closed)

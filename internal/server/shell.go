@@ -330,6 +330,13 @@ func (c *Conn) ReplyErr(id uint32, code byte, err error) {
 // later responses for it are dropped (their requests were answered as
 // far as the dead peer is concerned).
 func (c *Conn) WriteFrame(f Frame) {
+	c.WriteBody(f.Op, f.ID, func(buf []byte) []byte { return append(buf, f.Body...) })
+}
+
+// WriteBody is WriteFrame for a body not yet encoded: body appends it
+// to the pooled frame buffer — an Append* of the codec, whose layout
+// walk writes the response there directly — so no body is allocated.
+func (c *Conn) WriteBody(op byte, id uint32, body func(buf []byte) []byte) {
 	if c.broken.Load() {
 		return
 	}
@@ -337,7 +344,7 @@ func (c *Conn) WriteFrame(f Frame) {
 	if c.sh.sc.WriteTimeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.sh.sc.WriteTimeout))
 	}
-	err := WriteFrame(c.nc, f)
+	n, err := writeFrame(c.nc, op, id, body)
 	c.wmu.Unlock()
 	if err != nil {
 		if c.broken.CompareAndSwap(false, true) {
@@ -345,5 +352,5 @@ func (c *Conn) WriteFrame(f Frame) {
 		}
 		return
 	}
-	c.sh.bytesOut.Add(int64(frameHeader + len(f.Body)))
+	c.sh.bytesOut.Add(int64(n))
 }
